@@ -67,8 +67,7 @@ def disjoint_pairs_guarantee(k: int, b: int, b_m: int) -> int:
     """
     if not all(isinstance(x, int) for x in (k, b, b_m)) or k < 0:
         raise InvalidParameterError("k, b, b_m must be integers with k >= 0")
-    value = k - abs(b - b_m)
-    return max(0, _ceil_div(value, 5)) if value > 0 else 0
+    return max(0, _ceil_div(k - abs(b - b_m), 5))
 
 
 @dataclass(frozen=True)

@@ -209,15 +209,16 @@ def _cmd_verify(args: argparse.Namespace, cap: int | None) -> int:
 
 def _cmd_width(args: argparse.Namespace, cap: int | None) -> int:
     params = _load_params(args.params)
-    paper, certified = metric.width_lower_bound(args.m, params, cap=cap)
+    a = bounds_mod.a_of_m(args.m)
+    leaf_value = dp.leaf_profile(args.m, cap=cap)[a]
     _emit_json(
         {
             "command": "width-bound",
             "m": args.m,
-            "a": bounds_mod.a_of_m(args.m),
-            "leaf_value": dp.leaf_profile(args.m, cap=cap)[bounds_mod.a_of_m(args.m)],
-            "paper_bound": paper,
-            "certified_bound": certified,
+            "a": a,
+            "leaf_value": leaf_value,
+            "paper_bound": metric.paper_width_bound(args.m, params),
+            "certified_bound": metric.certified_width_bound(leaf_value, params),
             "params": _params_dict(params),
         }
     )
@@ -253,7 +254,7 @@ def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
     if not report.ok:
         raise TraceError(f"generated trace failed validation: {report.message}")
     certificate = sweepout.certify(trace, params)
-    paper, _ = metric.width_lower_bound(args.m, params, cap=cap)
+    paper = metric.paper_width_bound(args.m, params)
     meets = certificate.certified_area >= paper
     _emit_json(
         {

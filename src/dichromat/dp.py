@@ -9,11 +9,14 @@ profile and the number of black leaves for the leaf profile.
 
 Unreachable states carry ``numpy.inf`` rather than a large integer, so no
 arithmetic on the sentinel can overflow or masquerade as a real count.
-The achievable-set program needs exact feasibility of (black count,
-dichromatic count) pairs; its 2-D boolean convolutions are done by packing
-each table into one big integer with 64 bits per coefficient and
-multiplying (gmpy2 when available), which is exact at every size this
-module accepts.
+
+Both programs merge two children with one primitive, the support of the
+2-D self-convolution of a 0/1 table: the achievable-set program on
+(black count, dichromatic count) tables, the profile program on
+(attach cost, count) indicators, where the lowest cost row hit at a count
+is the min-plus value there.  A real FFT runs along the count axis and
+each output row is summed directly; before it is thresholded, every row
+must lie within 0.25 of an integer vector, or `DichromatError` is raised.
 
 Caps keep accidental exponential-memory requests out: profiles default to
 depth 14 and achievable sets to depth 8.  Pass ``cap=`` explicitly (or set
@@ -26,11 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
 
 from .errors import CapacityError, DichromatError, InvalidParameterError
 from .tree import (
@@ -92,14 +90,38 @@ def _check_depth(m: int, cap: int | None, default_cap: int, what: str) -> None:
         raise CapacityError(f"{what} is capped at m={effective}, got m={m}")
 
 
-def _minplus_self(e: np.ndarray) -> np.ndarray:
-    """Min-plus convolution of a vector with itself; inf marks unreachable."""
-    p = e.size
-    out = np.full(2 * p - 1, np.inf)
-    for i in np.flatnonzero(np.isfinite(e)):
-        seg = out[i : i + p]
-        np.minimum(seg, e[int(i)] + e, out=seg)
+def _self_convolve_support(x: np.ndarray) -> np.ndarray:
+    """Support of the 2-D self-convolution of a 0/1 array: an (r, c)
+    input gives a (2r-1, 2c-1) boolean output."""
+    rows, cols = x.shape
+    width = 2 * cols - 1
+    spectra = np.fft.rfft(x, n=width, axis=1)
+    out = np.empty((2 * rows - 1, width), dtype=bool)
+    for r in range(2 * rows - 1):
+        lo, hi = max(0, r - rows + 1), min(r, rows - 1)
+        pairs = spectra[lo : hi + 1], spectra[r - hi : r - lo + 1][::-1]
+        acc = np.einsum("ij,ij->j", *pairs)
+        row = np.fft.irfft(acc, n=width)
+        residual = float(np.abs(row - np.rint(row)).max())
+        if not residual < 0.25:
+            raise DichromatError(
+                f"internal error: FFT rounding residual {residual:.3g} >= 0.25"
+            )
+        out[r] = row > 0.5
     return out
+
+
+def _minplus_self(e: np.ndarray) -> np.ndarray:
+    """Min-plus convolution of a vector of small integers with itself;
+    inf marks unreachable.  At least one entry must be finite."""
+    finite = np.flatnonzero(np.isfinite(e))
+    low = e[finite].min()
+    values = (e[finite] - low).astype(np.intp)
+    indicator = np.zeros((int(values.max()) + 1, e.size), dtype=bool)
+    indicator[values, finite] = True
+    hits = _self_convolve_support(indicator)
+    reached = hits.any(axis=0)
+    return np.where(reached, hits.argmax(axis=0) + 2 * low, np.inf)
 
 
 def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
@@ -225,52 +247,28 @@ def witness(profile: DpProfile, index: int) -> Coloring:
 # achievable (black count, dichromatic count) pairs
 
 
-def _convolve2d_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact 2-D convolution of small nonnegative integer arrays.
-
-    Rows are padded to the output width and the array is packed into one
-    integer, 64 bits per coefficient; one big-integer multiply then
-    performs the whole convolution.  Valid while every output coefficient
-    stays below 2**64, which holds for 0/1 inputs of any size this module
-    accepts (coefficients are bounded by the smaller input's size).
-    """
-    rows_a, cols_a = a.shape
-    rows_b, cols_b = b.shape
-    out_cols = cols_a + cols_b - 1
-    out_rows = rows_a + rows_b - 1
-
-    def pack(x: np.ndarray, rows: int) -> int:
-        padded = np.zeros((rows, out_cols), dtype="<u8")
-        padded[:, : x.shape[1]] = x
-        return int.from_bytes(padded.tobytes(), "little")
-
-    prod = mpz(pack(a, rows_a)) * mpz(pack(b, rows_b))
-    buf = int(prod).to_bytes(out_rows * out_cols * 8, "little")
-    return np.frombuffer(buf, dtype="<u8").reshape(out_rows, out_cols)
-
-
 @lru_cache(maxsize=8)
 def _feasible_pairs(m: int) -> np.ndarray:
     """Boolean table F[b, d]: some coloring of T_m has exactly b black
     nodes and d dichromatic edges.  b runs 0..node_count, d 0..node_count-1."""
-    current = [np.zeros((2, 1), dtype=np.uint64) for _ in (WHITE, BLACK)]
-    current[WHITE][0, 0] = 1
-    current[BLACK][1, 0] = 1
+    current = [np.zeros((2, 1), dtype=bool) for _ in (WHITE, BLACK)]
+    current[WHITE][0, 0] = True
+    current[BLACK][1, 0] = True
     b_width = 2
     for _ in range(m):
         d_width = current[0].shape[1]
         nxt = []
         for c in (WHITE, BLACK):
-            ext = np.zeros((b_width, d_width + 1), dtype=np.uint64)
-            ext |= np.pad(current[c], ((0, 0), (0, 1)))
+            ext = np.zeros((b_width, d_width + 1), dtype=bool)
+            ext[:, :-1] = current[c]
             ext[:, 1:] |= current[1 - c]
-            conv = _convolve2d_exact(ext, ext)
-            tab = np.zeros((2 * b_width, conv.shape[1]), dtype=np.uint64)
-            tab[c : c + conv.shape[0]] = conv > 0
+            conv = _self_convolve_support(ext)
+            tab = np.zeros((2 * b_width, conv.shape[1]), dtype=bool)
+            tab[c : c + conv.shape[0]] = conv
             nxt.append(tab)
         current = nxt
         b_width *= 2
-    return ((current[WHITE] | current[BLACK]) > 0)
+    return current[WHITE] | current[BLACK]
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,18 @@ def balanced_decomposition(m: int, params: BlockParams) -> tuple[Number, ...]:
     return tuple(pieces)
 
 
+def paper_width_bound(m: int, params: BlockParams) -> Number:
+    """The closed-form sweepout-width bound rel_isop_C * ceil(m/2) / 5;
+    it needs no DP table."""
+    return _exact_div(params.rel_isop_C * theorem_leaf_bound(m), 5)
+
+
+def certified_width_bound(leaf_value: int, params: BlockParams) -> Number:
+    """rel_isop_C * ceil(leaf_value / 5) for the exact leaf-profile value
+    at a(m); it always dominates `paper_width_bound`."""
+    return params.rel_isop_C * (-(-leaf_value // 5))
+
+
 def width_lower_bound(m: int, params: BlockParams, cap: int | None = None):
     """(paper_bound, certified_bound) on the sweepout width.
 
@@ -164,11 +176,8 @@ def width_lower_bound(m: int, params: BlockParams, cap: int | None = None):
     at a(m) and takes the ceiling of the division, so it always
     dominates the closed form.
     """
-    c = params.rel_isop_C
-    paper = _exact_div(c * theorem_leaf_bound(m), 5)
     exact = leaf_profile(m, cap=cap)[a_of_m(m)]
-    certified = c * (-(-exact // 5))
-    return paper, certified
+    return paper_width_bound(m, params), certified_width_bound(exact, params)
 
 
 @dataclass(frozen=True)

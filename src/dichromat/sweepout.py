@@ -26,6 +26,7 @@ from .bounds import a_of_m
 from .dp import _max_matching
 from .errors import (
     AdmissibilityError,
+    CapacityError,
     InvalidParameterError,
     TraceError,
 )
@@ -33,6 +34,10 @@ from .metric import BlockParams, Number, RegionGraph, region_graph
 from .tree import BLACK, WHITE, Coloring, EdgeSet, coloring_from_bits, count_dichromatic
 
 STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
+
+# Largest dense (steps x entries) float64 table `generate_trace` builds.
+# Validation needs a few temporaries of the same size on top of it.
+TRACE_BYTES_CAP = 512 * 2**20
 
 
 def _ceil_snap(x: float) -> int:
@@ -300,7 +305,8 @@ def generate_trace(
 
     ``delta`` defaults to alpha/4, which keeps every strategy admissible.
     ``seed`` only affects ``random-monotone``; for a fixed seed the trace
-    is bit-for-bit reproducible.
+    is bit-for-bit reproducible.  Raises `CapacityError` before allocating
+    when the table could exceed `TRACE_BYTES_CAP`.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -314,12 +320,26 @@ def generate_trace(
     if delta <= 0:
         raise InvalidParameterError("delta must be positive")
 
+    if strategy == "uniform":
+        rows = _ceil_snap(float(caps.sum()) / delta) + 1
+    elif strategy == "random-monotone":
+        # every step raises each entry not yet full by at least delta/4
+        rows = math.ceil(float(caps.max()) / (0.25 * delta)) + 1
+    else:
+        rows = sum(_ceil_snap(float(c) / delta) for c in caps) + 1
+    size = rows * caps.size * 8
+    if size > TRACE_BYTES_CAP:
+        raise CapacityError(
+            f"{strategy} trace at m={m} needs up to {rows} x {caps.size} entries "
+            f"({size / 2**20:.0f} MiB), above the {TRACE_BYTES_CAP // 2**20} MiB "
+            "trace cap; use a smaller m or a larger delta"
+        )
+
     # layout probe: column helpers only need the graph
     layout = SweepoutTrace(graph=graph, steps=np.zeros((2, caps.size)), step_bound=delta)
 
     if strategy == "uniform":
-        parts = _ceil_snap(float(caps.sum()) / delta)
-        fractions = np.linspace(0.0, 1.0, parts + 1)
+        fractions = np.linspace(0.0, 1.0, rows)
         steps = fractions[:, None] * caps[None, :]
     elif strategy == "dfs-fill":
         steps = _sequential_fill(caps, _postorder_entries(layout), delta)

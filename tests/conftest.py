@@ -26,6 +26,64 @@ def brute_max_matching(edges: list[tuple[int, int]]) -> int:
     return go(0, frozenset())
 
 
+def minplus_self_loop(e: np.ndarray) -> np.ndarray:
+    """Min-plus convolution of a vector with itself by the O(p**2) pair
+    loop; inf marks unreachable."""
+    p = e.size
+    out = np.full(2 * p - 1, np.inf)
+    for i in np.flatnonzero(np.isfinite(e)):
+        seg = out[i : i + p]
+        np.minimum(seg, e[int(i)] + e, out=seg)
+    return out
+
+
+def convolve2d_bigint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact 2-D convolution of small nonnegative integer arrays.
+
+    Rows are padded to the output width and each array is packed into one
+    Python integer, 64 bits per coefficient; one big-integer multiply then
+    performs the whole convolution.  Exact while every output coefficient
+    stays below 2**64.
+    """
+    rows_a, cols_a = a.shape
+    rows_b, cols_b = b.shape
+    out_cols = cols_a + cols_b - 1
+    out_rows = rows_a + rows_b - 1
+
+    def pack(x: np.ndarray, rows: int) -> int:
+        padded = np.zeros((rows, out_cols), dtype="<u8")
+        padded[:, : x.shape[1]] = x
+        return int.from_bytes(padded.tobytes(), "little")
+
+    prod = pack(a, rows_a) * pack(b, rows_b)
+    buf = prod.to_bytes(out_rows * out_cols * 8, "little")
+    return np.frombuffer(buf, dtype="<u8").reshape(out_rows, out_cols)
+
+
+def feasible_pairs_bigint(m: int) -> np.ndarray:
+    """Boolean table F[b, d] of T_m (some coloring has b black nodes and d
+    dichromatic edges), merged level by level with `convolve2d_bigint`."""
+    white, black = 0, 1
+    current = [np.zeros((2, 1), dtype=np.uint64) for _ in (white, black)]
+    current[white][0, 0] = 1
+    current[black][1, 0] = 1
+    b_width = 2
+    for _ in range(m):
+        d_width = current[0].shape[1]
+        nxt = []
+        for c in (white, black):
+            ext = np.zeros((b_width, d_width + 1), dtype=np.uint64)
+            ext |= np.pad(current[c], ((0, 0), (0, 1)))
+            ext[:, 1:] |= current[1 - c]
+            conv = convolve2d_bigint(ext, ext)
+            tab = np.zeros((2 * b_width, conv.shape[1]), dtype=np.uint64)
+            tab[c : c + conv.shape[0]] = conv > 0
+            nxt.append(tab)
+        current = nxt
+        b_width *= 2
+    return (current[white] | current[black]) > 0
+
+
 def random_coloring(tree, rng: np.random.Generator) -> Coloring:
     bits = rng.integers(0, 2, size=tree.node_count)
     return coloring_from_bits(tree, bits.tolist())

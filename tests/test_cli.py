@@ -1,13 +1,20 @@
 """End-to-end CLI: frozen outputs, exit codes, schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dichromat
 from dichromat import BoundReport
-from dichromat import cli
+from dichromat import bounds, cli, dp, metric
+
+SRC = str(Path(dichromat.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +214,65 @@ def test_float_formatting_12_digits(capsys, schema):
                 walk(v)
 
     walk(doc)
+
+
+def _count_leaf_profile_calls(monkeypatch) -> list[int]:
+    calls = []
+    real = dp.leaf_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (dp, metric, bounds):
+        monkeypatch.setattr(module, "leaf_profile", counting)
+    return calls
+
+
+def test_width_bound_builds_leaf_profile_once(capsys, monkeypatch):
+    calls = _count_leaf_profile_calls(monkeypatch)
+    code, _, _ = run(capsys, "width-bound", "-m", "4")
+    assert code == 0
+    assert calls == [4]
+
+
+def test_sweepout_builds_no_leaf_profile(capsys, monkeypatch):
+    # the closed-form paper bound needs no DP table, so no DP cap applies
+    calls = _count_leaf_profile_calls(monkeypatch)
+    monkeypatch.setenv("DICHROMAT_MAX_M", "2")
+    code, _, err = run(capsys, "sweepout", "--strategy", "uniform", "-m", "3")
+    assert code == 0, err
+    assert calls == []
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    # OpenBLAS reserves address space per thread; one thread keeps numpy's
+    # import well inside the address-space limit used below
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    env.pop("DICHROMAT_MAX_M", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_m_dichromat():
+    proc = _python("-m", "dichromat", "profile", "--kind", "node", "-m", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "b,min_d\n1,1\n2,1\n3,0\n"
+
+
+def test_dense_trace_over_cap_exits_2():
+    # A 1 GiB address-space limit turns any attempt at the full dense table
+    # (about 23.5 GiB at m=12) into an immediate allocation failure, so the
+    # check never asks the machine for the memory.
+    script = (
+        "import resource, sys\n"
+        "limit = 2**30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from dichromat import cli\n"
+        "sys.exit(cli.main(['sweepout', '--strategy', 'dfs-fill', '-m', '12']))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "capacity exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dichromat import (
     CapacityError,
+    DichromatError,
     InvalidParameterError,
     achievable_set,
     black_counts,
@@ -19,7 +20,13 @@ from dichromat import (
     node_profile,
     witness,
 )
-from conftest import brute_max_matching, random_coloring
+from dichromat import dp
+from conftest import (
+    brute_max_matching,
+    feasible_pairs_bigint,
+    minplus_self_loop,
+    random_coloring,
+)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -118,14 +125,42 @@ def test_achievable_set_rejects_out_of_range():
 
 
 def test_achievable_profile_consistency():
-    # min over d with b in B(d) must reproduce the node profile
-    for m in (1, 2, 3, 4):
+    # min over d with b in B(d) must reproduce the node profile; the two
+    # programs run different recurrences over different tables
+    for m in range(1, 10):
         prof = node_profile(m)
         best = {}
         for d in range(2 ** (m + 1) - 1):
-            for b in achievable_set(m, d):
+            for b in achievable_set(m, d, cap=9):
                 best.setdefault(b, d)  # first d is minimal, loop ascends
-        assert best == dict(prof.items())
+        assert best == dict(prof.items()), m
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(st.integers(0, 8), st.just(np.inf)), min_size=1, max_size=40)
+    .filter(lambda xs: any(x != np.inf for x in xs)),
+    st.integers(0, 20),
+)
+def test_minplus_equals_loop_oracle(values, offset):
+    e = np.asarray(values, dtype=float) + offset
+    np.testing.assert_array_equal(dp._minplus_self(e), minplus_self_loop(e))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_feasible_pairs_equal_bigint_oracle(m):
+    got = dp._feasible_pairs(m)
+    want = feasible_pairs_bigint(m)
+    assert got.dtype == bool and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_fft_residual_guard_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    for build in (node_profile, leaf_profile, dp._feasible_pairs.__wrapped__):
+        with pytest.raises(DichromatError, match="residual"):
+            build(3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -7,6 +7,7 @@ import pytest
 from dichromat import (
     AdmissibilityError,
     BlockParams,
+    CapacityError,
     STRATEGIES,
     SweepoutTrace,
     TraceError,
@@ -61,6 +62,13 @@ def test_generate_rejects_bad_input(params):
 
     with pytest.raises(InvalidParameterError):
         generate_trace("uniform", 2, params, delta=0.0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_generate_refuses_oversized_table(strategy, params):
+    # the row count is worked out before anything is allocated
+    with pytest.raises(CapacityError, match="trace cap"):
+        generate_trace(strategy, 2, params, delta=1e-9)
 
 
 def test_validate_two_step_jump(params):
