@@ -29,10 +29,12 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import dp, metric, sweepout
 from .errors import CapacityError, DichromatError, InvalidParameterError, TraceError
-from .tree import BLACK, Coloring, count_dichromatic
+from .tree import Coloring
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -92,20 +94,20 @@ def _env_cap() -> int | None:
 
 def render_dot(coloring: Coloring) -> str:
     """Graphviz DOT: black nodes filled, dichromatic edges bold."""
-    _, dichromatic = count_dichromatic(coloring)
-    hot = set(dichromatic)
+    bits = coloring.bits
+    children = np.arange(2, bits.size + 1)
+    hot = bits[children - 1] != bits[children // 2 - 1]
+    node_style = ("", " [fillcolor=black, fontcolor=white]")
+    edge_style = ("", " [style=bold, penwidth=2.5]")
     lines = [
         "graph dichromat {",
         "  node [shape=circle, style=filled, fillcolor=white];",
     ]
-    for node in range(1, coloring.tree.node_count + 1):
-        if coloring.color(node) == BLACK:
-            lines.append(f"  {node} [fillcolor=black, fontcolor=white];")
-        else:
-            lines.append(f"  {node};")
-    for parent, child in coloring.tree.edges():
-        style = " [style=bold, penwidth=2.5]" if (parent, child) in hot else ""
-        lines.append(f"  {parent} -- {child}{style};")
+    lines += [f"  {node}{node_style[c]};" for node, c in enumerate(bits.tolist(), 1)]
+    lines += [
+        f"  {child // 2} -- {child}{edge_style[h]};"
+        for child, h in enumerate(hot.tolist(), 2)
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -253,7 +255,7 @@ def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
     report = sweepout.validate_trace(trace)
     if not report.ok:
         raise TraceError(f"generated trace failed validation: {report.message}")
-    certificate = sweepout.certify(trace, params)
+    certificate = sweepout.certify(trace)
     paper = metric.paper_width_bound(args.m, params)
     meets = certificate.certified_area >= paper
     _emit_json(
@@ -322,3 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

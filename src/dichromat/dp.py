@@ -14,9 +14,14 @@ Both programs merge two children with one primitive, the support of the
 2-D self-convolution of a 0/1 table: the achievable-set program on
 (black count, dichromatic count) tables, the profile program on
 (attach cost, count) indicators, where the lowest cost row hit at a count
-is the min-plus value there.  A real FFT runs along the count axis and
-each output row is summed directly; before it is thresholded, every row
-must lie within 0.25 of an integer vector, or `DichromatError` is raised.
+is the min-plus value there.  A real FFT runs along the count axis, zero
+padded to the next power of two, and each output row is summed directly;
+before it is cropped and thresholded, every row must lie within 0.25 of
+an integer vector, or `DichromatError` is raised.
+
+`witness` walks the per-depth tables back down one level at a time: all
+nodes of a depth choose their child colors and budget split together,
+from a (nodes x left budget) table of candidate costs.
 
 Caps keep accidental exponential-memory requests out: profiles default to
 depth 14 and achievable sets to depth 8.  Pass ``cap=`` explicitly (or set
@@ -95,19 +100,20 @@ def _self_convolve_support(x: np.ndarray) -> np.ndarray:
     input gives a (2r-1, 2c-1) boolean output."""
     rows, cols = x.shape
     width = 2 * cols - 1
-    spectra = np.fft.rfft(x, n=width, axis=1)
+    n = 1 << (width - 1).bit_length()
+    spectra = np.fft.rfft(x, n=n, axis=1)
     out = np.empty((2 * rows - 1, width), dtype=bool)
     for r in range(2 * rows - 1):
         lo, hi = max(0, r - rows + 1), min(r, rows - 1)
         pairs = spectra[lo : hi + 1], spectra[r - hi : r - lo + 1][::-1]
         acc = np.einsum("ij,ij->j", *pairs)
-        row = np.fft.irfft(acc, n=width)
+        row = np.fft.irfft(acc, n=n)
         residual = float(np.abs(row - np.rint(row)).max())
         if not residual < 0.25:
             raise DichromatError(
                 f"internal error: FFT rounding residual {residual:.3g} >= 0.25"
             )
-        out[r] = row > 0.5
+        out[r] = row[:width] > 0.5
     return out
 
 
@@ -186,7 +192,8 @@ def witness(profile: DpProfile, index: int) -> Coloring:
 
     Ties are broken deterministically toward the lexicographically
     smallest bit vector: white root first, then white left child, white
-    right child, then the smallest left-subtree budget.  The result is
+    right child, then the smallest left-subtree budget.  The coloring is
+    rebuilt one depth at a time, every node of a level at once, and is
     re-verified against `count_dichromatic` before it is returned.
     """
     target = profile[index]
@@ -195,41 +202,40 @@ def witness(profile: DpProfile, index: int) -> Coloring:
     tree = build_tree(m)
     bits = np.zeros(tree.node_count, dtype=np.uint8)
 
-    root_tab = tables[0]
-    budget = index
-    color = WHITE if root_tab[WHITE][budget] == target else BLACK
-    queue: list[tuple[int, int, int, int]] = [(1, 0, color, budget)]
-    while queue:
-        node, depth, color, budget = queue.pop()
-        bits[node - 1] = color
+    color = np.array([WHITE if tables[0][WHITE][index] == target else BLACK])
+    budget = np.array([index])
+    for depth in range(m + 1):
+        bits[2**depth - 1 : 2 ** (depth + 1) - 1] = color
         if depth == m:
-            continue
+            break
         child = tables[depth + 1]
         width = child.shape[1]
-        need = float(tables[depth][color][budget])
+        need = tables[depth][color, budget]
         rem = budget - color if profile.kind == NODE else budget
-        attach = [child[cc] + (cc != color) for cc in (WHITE, BLACK)]
-        found = False
+        # one row per node, one column per left budget b1; the right
+        # subtree gets rem - b1, and splits out of range cost inf
+        right_budget = rem[:, None] - np.arange(width)
+        valid = (right_budget >= 0) & (right_budget < width)
+        right_budget[~valid] = 0
+        left = [child[cc] + (cc != color)[:, None] for cc in (WHITE, BLACK)]
+        right = [
+            np.where(valid, child[cc][right_budget] + (cc != color)[:, None], np.inf)
+            for cc in (WHITE, BLACK)
+        ]
+        left_color = np.full(color.size, -1)
+        right_color = np.empty_like(left_color)
+        left_budget = np.empty_like(budget)
         for c1 in (WHITE, BLACK):
             for c2 in (WHITE, BLACK):
-                lo = max(0, rem - (width - 1))
-                hi = min(width - 1, rem)
-                if lo > hi:
-                    continue
-                left = attach[c1][lo : hi + 1]
-                right = attach[c2][rem - hi : rem - lo + 1][::-1]
-                total = left + right
-                pos = int(np.argmin(total))
-                if total[pos] == need:
-                    b1 = lo + pos
-                    queue.append((2 * node + 1, depth + 1, c2, rem - b1))
-                    queue.append((2 * node, depth + 1, c1, b1))
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+                total = left[c1] + right[c2]
+                hit = (left_color < 0) & (total.min(axis=1) == need)
+                left_color[hit] = c1
+                right_color[hit] = c2
+                left_budget[hit] = total[hit].argmin(axis=1)
+        if (left_color < 0).any():
             raise DichromatError("internal error: witness split not found")
+        color = np.stack([left_color, right_color], axis=1).ravel()
+        budget = np.stack([left_budget, rem - left_budget], axis=1).ravel()
 
     coloring = coloring_from_bits(tree, bits)
     achieved, _ = count_dichromatic(coloring)

@@ -224,14 +224,14 @@ class SliceCertificate:
     certified_area: Number
 
 
-def certify(trace: SweepoutTrace, params: BlockParams) -> SliceCertificate:
+def certify(trace: SweepoutTrace) -> SliceCertificate:
     """Find the special slice, induce its coloring, and certify the area.
 
-    ``params`` must be the parameters the trace's region graph was built
-    with; alpha and rel_isop_C are read from it.  Each candidate pair is
-    re-checked numerically against the trace row, independently of how
-    the coloring was derived.
+    alpha and rel_isop_C are read from the parameters the trace's region
+    graph was built with.  Each candidate pair is re-checked numerically
+    against the trace row, independently of how the coloring was derived.
     """
+    params = trace.graph.params
     tree = trace.graph.tree
     a = a_of_m(tree.m)
     t0 = find_special_slice(trace, a)

@@ -84,6 +84,43 @@ def feasible_pairs_bigint(m: int) -> np.ndarray:
     return (current[white] | current[black]) > 0
 
 
+def witness_loop(tables, kind: str, m: int, index: int) -> np.ndarray:
+    """Witness bits rebuilt from per-depth profile tables (index 0 = root)
+    one node at a time: white before black for the left child, then the
+    right child, then the smallest left budget.  ``kind`` is "node" or
+    "leaf"."""
+    white, black = 0, 1
+    bits = np.zeros(2 ** (m + 1) - 1, dtype=np.uint8)
+    target = min(tables[0][white][index], tables[0][black][index])
+    color = white if tables[0][white][index] == target else black
+    stack = [(1, 0, color, index)]
+    while stack:
+        node, depth, color, budget = stack.pop()
+        bits[node - 1] = color
+        if depth == m:
+            continue
+        child = tables[depth + 1]
+        width = child.shape[1]
+        need = tables[depth][color][budget]
+        rem = budget - color if kind == "node" else budget
+        attach = [child[cc] + (cc != color) for cc in (white, black)]
+        lo, hi = max(0, rem - (width - 1)), min(width - 1, rem)
+        split = None
+        for c1 in (white, black):
+            for c2 in (white, black):
+                if split is None and lo <= hi:
+                    left = attach[c1][lo : hi + 1]
+                    total = left + attach[c2][rem - hi : rem - lo + 1][::-1]
+                    pos = int(np.argmin(total))
+                    if total[pos] == need:
+                        split = (c1, c2, lo + pos)
+        assert split is not None, "witness split not found"
+        c1, c2, b1 = split
+        stack.append((2 * node + 1, depth + 1, c2, rem - b1))
+        stack.append((2 * node, depth + 1, c1, b1))
+    return bits
+
+
 def random_coloring(tree, rng: np.random.Generator) -> Coloring:
     bits = rng.integers(0, 2, size=tree.node_count)
     return coloring_from_bits(tree, bits.tolist())

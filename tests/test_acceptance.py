@@ -163,7 +163,7 @@ def test_criterion_8_certification():
             for strategy, seed in runs:
                 trace = generate_trace(strategy, m, params, seed=seed)
                 assert validate_trace(trace).ok, (strategy, m)
-                cert = certify(trace, params)
+                cert = certify(trace)
                 assert cert.certified_area >= need, (
                     strategy,
                     seed,

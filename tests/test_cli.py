@@ -261,6 +261,12 @@ def test_python_m_dichromat():
     assert proc.stdout == "b,min_d\n1,1\n2,1\n3,0\n"
 
 
+def test_python_m_dichromat_cli():
+    proc = _python("-m", "dichromat.cli", "profile", "--kind", "node", "-m", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "b,min_d\n1,1\n2,2\n3,1\n4,1\n5,2\n6,1\n7,0\n"
+
+
 def test_dense_trace_over_cap_exits_2():
     # A 1 GiB address-space limit turns any attempt at the full dense table
     # (about 23.5 GiB at m=12) into an immediate allocation failure, so the

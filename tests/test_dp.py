@@ -15,6 +15,7 @@ from dichromat import (
     coloring_from_bits,
     count_dichromatic,
     enumerate_full,
+    enumerate_leaf_constrained,
     leaf_profile,
     max_disjoint_pairs,
     node_profile,
@@ -26,6 +27,7 @@ from conftest import (
     feasible_pairs_bigint,
     minplus_self_loop,
     random_coloring,
+    witness_loop,
 )
 
 
@@ -87,6 +89,47 @@ def test_leaf_witnesses_verify(m):
 def test_witness_deterministic():
     prof = node_profile(4)
     assert witness(prof, 9).as_tuple() == witness(prof, 9).as_tuple()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("build", [node_profile, leaf_profile])
+def test_witness_equals_loop_oracle(build, m):
+    prof = build(m)
+    for index in prof.index_range:
+        want = witness_loop(prof.witness_seed, prof.kind, m, index)
+        assert np.array_equal(witness(prof, index).bits, want), index
+
+
+@pytest.mark.parametrize(
+    "build, index",
+    [
+        (node_profile, 2641),
+        (node_profile, 27829),
+        (leaf_profile, 5461),
+        (leaf_profile, 11721),
+    ],
+)
+def test_witness_equals_loop_oracle_m14(build, index):
+    prof = build(14)
+    want = witness_loop(prof.witness_seed, prof.kind, 14, index)
+    assert np.array_equal(witness(prof, index).bits, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_witness_is_lexicographic_minimum(m):
+    full = enumerate_full(m)
+    node, leaf = node_profile(m), leaf_profile(m)
+    for b, want in full.witness_by_b.items():
+        assert witness(node, b).as_tuple() == want.as_tuple(), b
+    for t, want in full.witness_by_t.items():
+        assert witness(leaf, t).as_tuple() == want.as_tuple(), t
+
+
+def test_leaf_witness_is_lexicographic_minimum_m4():
+    leaf = leaf_profile(4)
+    for t in leaf.index_range:
+        _, want = enumerate_leaf_constrained(4, t)
+        assert witness(leaf, t).as_tuple() == want.as_tuple(), t
 
 
 def test_profile_cap():

@@ -216,7 +216,7 @@ def test_inadmissible_jump_rejected(params):
 def test_certificates_meet_paper_bound(strategy, params):
     for m in (2, 3, 4, 5):
         trace = generate_trace(strategy, m, params, seed=11)
-        cert = certify(trace, params)
+        cert = certify(trace)
         paper, _ = width_lower_bound(m, params)
         assert cert.certified_area >= paper
         assert cert.disjoint_count >= theorem_leaf_bound(m) / 5
@@ -226,7 +226,7 @@ def test_certificates_meet_paper_bound(strategy, params):
 def test_certificate_pairs_are_verified_sandwiches(params):
     m = 3
     trace = generate_trace("bfs-fill", m, params)
-    cert = certify(trace, params)
+    cert = certify(trace)
     caps = capacities(trace.graph)
     row = trace.steps[cert.t0]
     alpha = float(params.alpha)
@@ -244,7 +244,7 @@ def test_certificate_pairs_are_verified_sandwiches(params):
 def test_certify_zero_constant_degenerate():
     p = BlockParams.default().replace(rel_isop_C=0)
     trace = generate_trace("uniform", 2, p)
-    cert = certify(trace, p)
+    cert = certify(trace)
     assert cert.certified_area == 0
     assert cert.disjoint_count >= 1  # counting is unaffected by the constant
 
