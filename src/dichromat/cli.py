@@ -10,8 +10,8 @@ Subcommands::
     sweepout    generate a trace and certify its special slice
     export-dot  optimal witness coloring as Graphviz DOT
 
-Exit codes: 0 success, 1 invalid input, 2 capacity exceeded,
-3 a verification came back negative.
+Exit codes: 0 success, 1 invalid input, 2 capacity exceeded (a size cap,
+or out of memory), 3 a verification came back negative.
 
 Output is byte-stable for fixed inputs and seed: JSON keys are sorted,
 floats are printed to 12 significant digits, and the environment only
@@ -68,6 +68,8 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {int, str}:
+            return list(value)
         return [_jsonable(v) for v in value]
     return value
 
@@ -313,6 +315,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVALID
     except CapacityError as exc:
         print(f"dichromat: capacity exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"dichromat: capacity exceeded: out of memory{detail}", file=sys.stderr)
         return EXIT_CAPACITY
     except (InvalidParameterError, TraceError) as exc:
         print(f"dichromat: invalid input: {exc}", file=sys.stderr)

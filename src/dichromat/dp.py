@@ -312,15 +312,15 @@ def _max_matching(tree: TreeShape, allowed: EdgeSet) -> tuple[int, EdgeSet]:
 
     f0/f1 are the matching sizes with the node unmatched/matched inside
     its subtree; levels are processed bottom-up with vectorized child
-    slices.  Reconstruction prefers the unmatched state on ties and the
-    left child on equal gains, so results are stable run to run.
+    slices, and the matching is rebuilt top-down one level at a time.
+    Reconstruction prefers the unmatched state on ties and the left
+    child on equal gains, so results are stable run to run.
     """
     n = tree.node_count
     f0 = np.zeros(n + 1)
     f1 = np.full(n + 1, -np.inf)
     allowed_mask = np.zeros(n + 1, dtype=bool)
-    for _, child in allowed:
-        allowed_mask[child] = True
+    allowed_mask[[child for _, child in allowed]] = True
 
     for depth in range(tree.m - 1, -1, -1):
         v = np.arange(2 ** depth, 2 ** (depth + 1))
@@ -332,26 +332,25 @@ def _max_matching(tree: TreeShape, allowed: EdgeSet) -> tuple[int, EdgeSet]:
         gain_r = np.where(allowed_mask[right], 1 + f0[right] - best_r, -np.inf)
         f1[v] = f0[v] + np.maximum(gain_l, gain_r)
 
-    chosen: list[tuple[int, int]] = []
-    stack: list[tuple[int, bool]] = [(1, True)]
-    while stack:
-        node, available = stack.pop()
-        if tree.is_leaf(node):
-            continue
-        children = tree.children(node)
-        matched_child = None
-        if available and f1[node] > f0[node]:
-            base = sum(max(f0[u], f1[u]) for u in children)
-            for u in children:
-                if allowed_mask[u] and base + 1 + f0[u] - max(f0[u], f1[u]) == f1[node]:
-                    matched_child = u
-                    break
-            assert matched_child is not None
-            chosen.append((node, matched_child))
-        for u in children:
-            stack.append((u, u != matched_child))
+    best = np.maximum(f0, f1)
+    available = np.zeros(n + 1, dtype=bool)
+    available[1] = True
+    chosen: list[np.ndarray] = []
+    for depth in range(tree.m):
+        v = np.arange(2 ** depth, 2 ** (depth + 1))
+        match = available[v] & (f1[v] > f0[v])
+        base = best[2 * v] + best[2 * v + 1]
+        taken = np.zeros(v.size, dtype=bool)
+        for u in (2 * v, 2 * v + 1):
+            take = match & ~taken & allowed_mask[u] & (base + 1 + f0[u] - best[u] == f1[v])
+            available[u] = ~take
+            taken |= take
+            chosen.append(u[take])
+        if (match & ~taken).any():
+            raise DichromatError("matching reconstruction found no child to match")
 
-    return len(chosen), EdgeSet(tuple(chosen))
+    children = np.concatenate(chosen).tolist()
+    return len(children), EdgeSet(tuple((c // 2, c) for c in children))
 
 
 def max_disjoint_pairs(coloring: Coloring) -> tuple[int, EdgeSet]:

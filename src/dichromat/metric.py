@@ -25,8 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Union
+
+import numpy as np
 
 from .bounds import a_of_m, best_black_count, theorem_leaf_bound
 from .dp import leaf_profile
@@ -105,7 +108,8 @@ class RegionGraph:
 
     Node volumes are heap-ordered (``node_volumes[i-1]`` is node ``i``);
     edge volumes are ordered by child index (``edge_volumes[c-2]`` is the
-    tube on the edge into node ``c``).
+    tube on the edge into node ``c``).  Sweepout traces use the same order
+    as their column layout: ``[regions 1..n, tubes into 2..n]``.
     """
 
     tree: TreeShape
@@ -125,6 +129,33 @@ class RegionGraph:
         if not 2 <= child <= self.tree.node_count:
             raise InvalidParameterError(f"no edge into node {child}")
         return self.edge_volumes[child - 2]
+
+    @property
+    def entry_count(self) -> int:
+        return 2 * self.tree.node_count - 1
+
+    def region_col(self, node: int) -> int:
+        return node - 1
+
+    def tube_col(self, child: int) -> int:
+        return self.tree.node_count + child - 2
+
+    @property
+    def leaf_cols(self) -> slice:
+        return slice(self.tree.first_leaf - 1, self.tree.node_count)
+
+    def entry_ids(self) -> list[str]:
+        n = self.tree.node_count
+        return [f"node:{i}" for i in range(1, n + 1)] + [
+            f"tube:{c}" for c in range(2, n + 1)
+        ]
+
+    @cached_property
+    def capacities(self) -> np.ndarray:
+        """Read-only float capacity vector in column order."""
+        caps = np.array([*map(float, self.node_volumes), *map(float, self.edge_volumes)])
+        caps.flags.writeable = False
+        return caps
 
 
 def region_graph(m: int, params: BlockParams) -> RegionGraph:

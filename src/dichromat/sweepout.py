@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -31,25 +32,25 @@ from .errors import (
     TraceError,
 )
 from .metric import BlockParams, Number, RegionGraph, region_graph
-from .tree import BLACK, WHITE, Coloring, EdgeSet, coloring_from_bits, count_dichromatic
+from .tree import BLACK, WHITE, Coloring, EdgeSet, coloring_from_bits, dichromatic_children
 
 STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 
 # Largest dense (steps x entries) float64 table `generate_trace` builds.
-# Validation needs a few temporaries of the same size on top of it.
+# Nothing downstream copies it: validation walks it in blocks of
+# `_BLOCK_CELLS` cells, so peak memory stays about one table.
 TRACE_BYTES_CAP = 512 * 2**20
+
+_BLOCK_CELLS = 1 << 18
+
+_CSV_HEADER = "step,entry,volume"
+_CSV_CHUNK = 1 << 15  # records parsed per chunk by `trace_read_csv`
 
 
 def _ceil_snap(x: float) -> int:
     """ceil with a 1e-9 snap so counts like total/delta == 1000.0000000001
     do not round up a whole extra step."""
     return max(1, int(math.ceil(x - 1e-9)))
-
-
-def capacities(graph: RegionGraph) -> np.ndarray:
-    """Float capacity vector in trace column order."""
-    caps = [float(v) for v in graph.node_volumes] + [float(v) for v in graph.edge_volumes]
-    return np.asarray(caps, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,26 +68,23 @@ class SweepoutTrace:
         if self.step_bound <= 0:
             raise InvalidParameterError("step_bound must be positive")
 
+    # the column layout lives on the region graph
     @property
     def entry_count(self) -> int:
-        return 2 * self.graph.tree.node_count - 1
+        return self.graph.entry_count
 
     def region_col(self, node: int) -> int:
-        return node - 1
+        return self.graph.region_col(node)
 
     def tube_col(self, child: int) -> int:
-        return self.graph.tree.node_count + child - 2
+        return self.graph.tube_col(child)
 
     @property
     def leaf_cols(self) -> slice:
-        tree = self.graph.tree
-        return slice(tree.first_leaf - 1, tree.node_count)
+        return self.graph.leaf_cols
 
     def entry_ids(self) -> list[str]:
-        tree = self.graph.tree
-        return [f"node:{i}" for i in range(1, tree.node_count + 1)] + [
-            f"tube:{c}" for c in range(2, tree.node_count + 1)
-        ]
+        return self.graph.entry_ids()
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,14 @@ def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationRep
     """Check shape, empty start, full end, capacity range, and step bound.
 
     Reports the first violating step; comparisons use a relative
-    tolerance so float-built traces do not trip on rounding dust.
+    tolerance so float-built traces do not trip on rounding dust.  At one
+    step the checks rank in the order listed.  The table is read in row
+    blocks of about `_BLOCK_CELLS` cells, each overlapping the previous
+    one by a row for the step differences, so the extra memory does not
+    grow with the trace.
     """
     steps = trace.steps
-    caps = capacities(trace.graph)
+    caps = trace.graph.capacities
     if steps.ndim != 2 or steps.shape[1] != trace.entry_count or steps.shape[0] < 2:
         return ValidationReport(
             False,
@@ -111,26 +113,37 @@ def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationRep
             None,
         )
     tol = rel_tol * max(1.0, float(caps.max()))
-
-    violations: list[tuple[int, str]] = []
     if np.abs(steps[0]).max() > tol:
-        violations.append((0, "first step is not the empty vector"))
-    out_of_range = (steps < -tol) | (steps > caps[None, :] + tol)
-    if out_of_range.any():
-        step = int(np.flatnonzero(out_of_range.any(axis=1))[0])
-        violations.append((step, "entry outside [0, capacity]"))
-    jumps = np.abs(np.diff(steps, axis=0)).max(axis=1)
-    too_big = np.flatnonzero(jumps > trace.step_bound + tol)
-    if too_big.size:
-        step = int(too_big[0]) + 1
-        violations.append((step, f"step exceeds bound {trace.step_bound}"))
-    if np.abs(steps[-1] - caps).max() > tol:
-        violations.append((steps.shape[0] - 1, "last step is not the full vector"))
+        return ValidationReport(False, "first step is not the empty vector", 0)
 
-    if not violations:
-        return ValidationReport(True)
-    step, message = min(violations, key=lambda v: v[0])
-    return ValidationReport(False, message, step)
+    # a violation found in one block precedes everything in later blocks
+    high = caps + tol
+    jump_limit = trace.step_bound + tol
+    rows, cols = steps.shape
+    block_rows = max(1, _BLOCK_CELLS // cols)
+    diff = np.empty((block_rows, cols))
+    for start in range(0, rows, block_rows):
+        # the window adds the previous block's last row for the differences
+        lo = max(start - 1, 0)
+        window = steps[lo : start + block_rows]
+        block = window[start - lo :]
+        violations: list[tuple[int, str]] = []
+        outside = block < -tol
+        outside |= block > high
+        bad = np.flatnonzero(outside.any(axis=1))
+        if bad.size:
+            violations.append((start + int(bad[0]), "entry outside [0, capacity]"))
+        jumps = np.subtract(window[1:], window[:-1], out=diff[: len(window) - 1])
+        too_big = np.flatnonzero(np.abs(jumps, out=jumps).max(axis=1) > jump_limit)
+        if too_big.size:
+            step = lo + 1 + int(too_big[0])
+            violations.append((step, f"step exceeds bound {trace.step_bound}"))
+        if violations:
+            step, message = min(violations, key=lambda v: v[0])
+            return ValidationReport(False, message, step)
+    if np.abs(steps[-1] - caps).max() > tol:
+        return ValidationReport(False, "last step is not the full vector", rows - 1)
+    return ValidationReport(True)
 
 
 def find_special_slice(trace: SweepoutTrace, a: int) -> int:
@@ -231,29 +244,27 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
     graph was built with.  Each candidate pair is re-checked numerically
     against the trace row, independently of how the coloring was derived.
     """
-    params = trace.graph.params
-    tree = trace.graph.tree
-    a = a_of_m(tree.m)
+    graph = trace.graph
+    params = graph.params
+    a = a_of_m(graph.tree.m)
     t0 = find_special_slice(trace, a)
     coloring = induce_coloring(trace, t0, a)
-    _, dichromatic = count_dichromatic(coloring)
 
     alpha = float(params.alpha)
-    row = trace.steps[t0]
-    caps = capacities(trace.graph)
-    verified = []
-    for parent, child in dichromatic:
-        cols = (trace.region_col(parent), trace.region_col(child), trace.tube_col(child))
-        occupied = float(sum(row[c] for c in cols))
-        total = float(sum(caps[c] for c in cols))
-        if alpha <= occupied <= total - alpha:
-            verified.append((parent, child))
+    child = dichromatic_children(coloring)
+    parent = child // 2
+    cols = (graph.region_col(parent), graph.region_col(child), graph.tube_col(child))
+    # summed parent region, child region, tube: the rounding the output pins
+    occupied = sum(trace.steps[t0, c] for c in cols)
+    total = sum(graph.capacities[c] for c in cols)
+    keep = (alpha <= occupied) & (occupied <= total - alpha)
 
-    count, _ = _max_matching(tree, EdgeSet(tuple(verified)))
+    verified = EdgeSet(tuple(zip(parent[keep].tolist(), child[keep].tolist())))
+    count, _ = _max_matching(graph.tree, verified)
     return SliceCertificate(
         t0=t0,
         coloring=coloring,
-        sandwich_regions=EdgeSet(tuple(verified)),
+        sandwich_regions=verified,
         disjoint_count=count,
         certified_area=params.rel_isop_C * count,
     )
@@ -278,17 +289,17 @@ def _sequential_fill(caps: np.ndarray, order: Iterable[int], delta: float) -> np
     return steps
 
 
-def _postorder_entries(trace_layout: SweepoutTrace) -> list[int]:
-    tree = trace_layout.graph.tree
+def _postorder_entries(graph: RegionGraph) -> list[int]:
+    tree = graph.tree
 
     def walk(v: int) -> list[int]:
         if tree.is_leaf(v):
-            return [trace_layout.region_col(v)]
+            return [graph.region_col(v)]
         out: list[int] = []
         for u in tree.children(v):
             out.extend(walk(u))
-            out.append(trace_layout.tube_col(u))
-        out.append(trace_layout.region_col(v))
+            out.append(graph.tube_col(u))
+        out.append(graph.region_col(v))
         return out
 
     return walk(1)
@@ -313,7 +324,7 @@ def generate_trace(
             f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
         )
     graph = region_graph(m, params)
-    caps = capacities(graph)
+    caps = graph.capacities
     if delta is None:
         delta = float(params.alpha) / 4
     delta = float(delta)
@@ -335,27 +346,28 @@ def generate_trace(
             "trace cap; use a smaller m or a larger delta"
         )
 
-    # layout probe: column helpers only need the graph
-    layout = SweepoutTrace(graph=graph, steps=np.zeros((2, caps.size)), step_bound=delta)
-
     if strategy == "uniform":
         fractions = np.linspace(0.0, 1.0, rows)
         steps = fractions[:, None] * caps[None, :]
     elif strategy == "dfs-fill":
-        steps = _sequential_fill(caps, _postorder_entries(layout), delta)
+        steps = _sequential_fill(caps, _postorder_entries(graph), delta)
     elif strategy == "bfs-fill":
-        order = [layout.region_col(1)]
+        order = [graph.region_col(1)]
         for child in range(2, graph.tree.node_count + 1):
-            order.append(layout.tube_col(child))
-            order.append(layout.region_col(child))
+            order.append(graph.tube_col(child))
+            order.append(graph.region_col(child))
         steps = _sequential_fill(caps, order, delta)
     else:  # random-monotone
+        # rows past the last one written are never touched, so never resident
         rng = np.random.default_rng(seed)
-        rows = [np.zeros(caps.size)]
-        while np.any(rows[-1] < caps):
+        steps = np.empty((rows, caps.size))
+        steps[0] = 0.0
+        last = 0
+        while last + 1 < rows and np.any(steps[last] < caps):
             inc = rng.uniform(0.25, 1.0, caps.size) * delta
-            rows.append(np.minimum(rows[-1] + inc, caps))
-        steps = np.vstack(rows)
+            np.minimum(steps[last] + inc, caps, out=steps[last + 1])
+            last += 1
+        steps = steps[: last + 1]
 
     return SweepoutTrace(graph=graph, steps=steps, step_bound=delta)
 
@@ -370,20 +382,30 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
     fh = open(target, "w") if own else target
     try:
         ids = trace.entry_ids()
-        fh.write("step,entry,volume\n")
-        for s in range(trace.steps.shape[0]):
-            row = trace.steps[s]
-            for e, ident in enumerate(ids):
-                fh.write(f"{s},{ident},{row[e].item()!r}\n")
+        fh.write(_CSV_HEADER + "\n")
+        for s, row in enumerate(trace.steps):
+            fh.write("".join([f"{s},{ident},{v!r}\n" for ident, v in zip(ids, row.tolist())]))
     finally:
         if own:
             fh.close()
 
 
+def _parse_record(line: str, col_of: dict[str, int]) -> tuple[int, int, float]:
+    step_text, ident, value_text = line.split(",")
+    step = int(step_text)
+    if step < 0:
+        raise ValueError(f"negative step {step}")
+    return step, col_of[ident], float(value_text)
+
+
 def trace_read_csv(
     source: str | Path | IO[str], graph: RegionGraph, step_bound: float
 ) -> SweepoutTrace:
-    """Inverse of `trace_write_csv` for the given region graph."""
+    """Inverse of `trace_write_csv` for the given region graph.
+
+    Blank lines are skipped.  Every (step, entry) cell of a dense table
+    must appear exactly once; a step index is a nonnegative integer.
+    """
     own = isinstance(source, (str, Path))
     fh = open(source) if own else source
     try:
@@ -391,30 +413,52 @@ def trace_read_csv(
     finally:
         if own:
             fh.close()
-    if not lines or lines[0] != "step,entry,volume":
-        raise TraceError("missing 'step,entry,volume' header")
-    probe = SweepoutTrace(
-        graph=graph, steps=np.zeros((2, 2 * graph.tree.node_count - 1)),
-        step_bound=step_bound,
-    )
-    col_of = {ident: i for i, ident in enumerate(probe.entry_ids())}
-    cells: dict[tuple[int, int], float] = {}
-    max_step = -1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            step_text, ident, value_text = line.split(",")
-            step = int(step_text)
-            col = col_of[ident]
-            value = float(value_text)
-        except (ValueError, KeyError) as exc:
-            raise TraceError(f"line {lineno}: bad record {line!r}") from exc
-        cells[(step, col)] = value
-        max_step = max(max_step, step)
-    steps = np.zeros((max_step + 1, len(col_of)))
-    if len(cells) != steps.size:
+    if not lines or lines[0] != _CSV_HEADER:
+        raise TraceError(f"missing '{_CSV_HEADER}' header")
+    records = list(filter(str.strip, islice(lines, 1, None)))
+    col_of = {ident: i for i, ident in enumerate(graph.entry_ids())}
+    n = len(records)
+    step = np.empty(n, dtype=np.int64)
+    col = np.empty(n, dtype=np.intp)
+    value = np.empty(n)
+    try:
+        # columns parsed at C level, a chunk of records at a time; any
+        # failure goes to the line loop below, which names the bad line
+        if set(map(str.count, records, repeat(","))) - {2}:
+            raise ValueError("not three fields")
+        for start in range(0, n, _CSV_CHUNK):
+            fields = ",".join(records[start : start + _CSV_CHUNK]).split(",")
+            part = slice(start, start + len(fields) // 3)
+            step[part] = np.fromiter(map(int, fields[0::3]), np.int64)
+            col[part] = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp)
+            value[part] = np.fromiter(map(float, fields[2::3]), np.float64)
+        if n and step.min() < 0:
+            raise ValueError("negative step")
+    except (ValueError, KeyError, OverflowError):
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                try:
+                    _parse_record(line, col_of)
+                except (ValueError, KeyError) as exc:
+                    raise TraceError(f"line {lineno}: bad record {line!r}") from exc
+        # only a step index past int64 gets here, and no such table is dense
+        raise TraceError("missing entries: trace table is not dense") from None
+    del lines, records
+
+    entries = len(col_of)
+    rows = int(step.max()) + 1 if n else 0
+    if n < rows * entries:
         raise TraceError("missing entries: trace table is not dense")
-    for (step, col), value in cells.items():
-        steps[step, col] = value
+    flat = np.multiply(step, entries, out=step)
+    flat += col
+    seen = np.zeros(rows * entries, dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) < n:
+        dup = int(np.flatnonzero(np.bincount(flat) > 1)[0])
+        raise TraceError(
+            f"duplicate record for step {dup // entries}, "
+            f"entry {graph.entry_ids()[dup % entries]}"
+        )
+    steps = np.empty((rows, entries))
+    steps.reshape(-1)[flat] = value
     return SweepoutTrace(graph=graph, steps=steps, step_bound=step_bound)

@@ -177,14 +177,17 @@ class EdgeSet:
         return tuple(edge) in self.edges
 
 
+def dichromatic_children(coloring: Coloring) -> np.ndarray:
+    """Child ends of the dichromatic edges, ascending."""
+    bits = coloring.bits
+    children = np.arange(2, coloring.tree.node_count + 1)
+    return children[bits[children - 1] != bits[children // 2 - 1]]
+
+
 def count_dichromatic(coloring: Coloring) -> tuple[int, EdgeSet]:
     """Count dichromatic edges and return them ordered by child index."""
-    n = coloring.tree.node_count
-    children = np.arange(2, n + 1)
-    diff = coloring.bits[children - 1] != coloring.bits[children // 2 - 1]
-    hit = children[diff]
-    edge_set = EdgeSet(tuple((int(c) // 2, int(c)) for c in hit))
-    return int(diff.sum()), edge_set
+    hit = dichromatic_children(coloring).tolist()
+    return len(hit), EdgeSet(tuple((c // 2, c) for c in hit))
 
 
 def black_counts(coloring: Coloring) -> tuple[int, int]:

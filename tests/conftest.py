@@ -1,5 +1,6 @@
 """Shared helpers: independent brute-force routes the real code is tested
-against.  Nothing here may import from dichromat.dp's internals."""
+against.  Nothing here may import from dichromat.dp or
+dichromat.sweepout."""
 
 from __future__ import annotations
 
@@ -119,6 +120,98 @@ def witness_loop(tables, kind: str, m: int, index: int) -> np.ndarray:
         stack.append((2 * node + 1, depth + 1, c2, rem - b1))
         stack.append((2 * node, depth + 1, c1, b1))
     return bits
+
+
+def capacities_of(graph) -> np.ndarray:
+    """Float capacities in trace column order, straight from the volumes."""
+    caps = [float(v) for v in graph.node_volumes] + [float(v) for v in graph.edge_volumes]
+    return np.asarray(caps, dtype=np.float64)
+
+
+def validate_trace_dense(trace, rel_tol: float = 1e-9) -> tuple[bool, str, int | None]:
+    """(ok, message, step) of a trace check on whole-table temporaries:
+    every check runs over the full table and the lowest step wins, ties
+    going to the earlier check in the order below."""
+    steps = trace.steps
+    caps = capacities_of(trace.graph)
+    entries = 2 * trace.graph.tree.node_count - 1
+    if steps.ndim != 2 or steps.shape[1] != entries or steps.shape[0] < 2:
+        return False, f"expected shape (>=2, {entries}), got {steps.shape}", None
+    tol = rel_tol * max(1.0, float(caps.max()))
+
+    violations: list[tuple[int, str]] = []
+    if np.abs(steps[0]).max() > tol:
+        violations.append((0, "first step is not the empty vector"))
+    out_of_range = (steps < -tol) | (steps > caps[None, :] + tol)
+    if out_of_range.any():
+        step = int(np.flatnonzero(out_of_range.any(axis=1))[0])
+        violations.append((step, "entry outside [0, capacity]"))
+    jumps = np.abs(np.diff(steps, axis=0)).max(axis=1)
+    too_big = np.flatnonzero(jumps > trace.step_bound + tol)
+    if too_big.size:
+        step = int(too_big[0]) + 1
+        violations.append((step, f"step exceeds bound {trace.step_bound}"))
+    if np.abs(steps[-1] - caps).max() > tol:
+        violations.append((steps.shape[0] - 1, "last step is not the full vector"))
+
+    if not violations:
+        return True, "ok", None
+    step, message = min(violations, key=lambda v: v[0])
+    return False, message, step
+
+
+def max_matching_stack(tree, allowed) -> tuple[int, list[tuple[int, int]]]:
+    """Maximum matching on ``allowed`` (parent, child) edges: the bottom-up
+    tree DP, then a node-by-node stack walk from the root that leaves a
+    node unmatched on ties and tries the left child first."""
+    n = tree.node_count
+    f0 = np.zeros(n + 1)
+    f1 = np.full(n + 1, -np.inf)
+    allowed_mask = np.zeros(n + 1, dtype=bool)
+    for _, child in allowed:
+        allowed_mask[child] = True
+
+    for depth in range(tree.m - 1, -1, -1):
+        v = np.arange(2 ** depth, 2 ** (depth + 1))
+        left, right = 2 * v, 2 * v + 1
+        best_l = np.maximum(f0[left], f1[left])
+        best_r = np.maximum(f0[right], f1[right])
+        f0[v] = best_l + best_r
+        gain_l = np.where(allowed_mask[left], 1 + f0[left] - best_l, -np.inf)
+        gain_r = np.where(allowed_mask[right], 1 + f0[right] - best_r, -np.inf)
+        f1[v] = f0[v] + np.maximum(gain_l, gain_r)
+
+    chosen: list[tuple[int, int]] = []
+    stack: list[tuple[int, bool]] = [(1, True)]
+    while stack:
+        node, available = stack.pop()
+        if node >= tree.first_leaf:
+            continue
+        children = (2 * node, 2 * node + 1)
+        matched_child = None
+        if available and f1[node] > f0[node]:
+            base = sum(max(f0[u], f1[u]) for u in children)
+            for u in children:
+                if allowed_mask[u] and base + 1 + f0[u] - max(f0[u], f1[u]) == f1[node]:
+                    matched_child = u
+                    break
+            assert matched_child is not None
+            chosen.append((node, matched_child))
+        for u in children:
+            stack.append((u, u != matched_child))
+    return len(chosen), sorted(chosen, key=lambda e: e[1])
+
+
+def trace_csv_cells(trace) -> str:
+    """The trace CSV written one cell at a time."""
+    n = trace.graph.tree.node_count
+    ids = [f"node:{i}" for i in range(1, n + 1)] + [f"tube:{c}" for c in range(2, n + 1)]
+    out = ["step,entry,volume\n"]
+    for s in range(trace.steps.shape[0]):
+        row = trace.steps[s]
+        for e, ident in enumerate(ids):
+            out.append(f"{s},{ident},{row[e].item()!r}\n")
+    return "".join(out)
 
 
 def random_coloring(tree, rng: np.random.Generator) -> Coloring:

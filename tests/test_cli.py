@@ -12,7 +12,7 @@ import pytest
 
 import dichromat
 from dichromat import BoundReport
-from dichromat import bounds, cli, dp, metric
+from dichromat import bounds, cli, dp, metric, sweepout
 
 SRC = str(Path(dichromat.__file__).resolve().parents[1])
 
@@ -282,3 +282,28 @@ def test_dense_trace_over_cap_exits_2():
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "capacity exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 375. MiB")
+
+    monkeypatch.setattr(sweepout, "generate_trace", exhausted)
+    code, out, err = run(capsys, "sweepout", "--strategy", "dfs-fill", "-m", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "dichromat: capacity exceeded: out of memory (Unable to allocate 375. MiB)\n"
+
+
+def test_dense_trace_m9_runs_in_one_gib():
+    # the 375 MiB m=9 table is the only table-sized allocation of the query
+    script = (
+        "import resource, sys\n"
+        "limit = 2**30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from dichromat import cli\n"
+        "sys.exit(cli.main(['sweepout', '--strategy', 'dfs-fill', '-m', '9']))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["steps"] == 24043
