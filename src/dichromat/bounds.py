@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import achievable_set, leaf_profile, node_profile
+from .dp import _feasible_pairs, _pairs_rows, leaf_profile, node_profile
 from .errors import InvalidParameterError
 
 VERIFY_KINDS = ("lemma22", "thm27", "lipschitz_node", "lipschitz_leaf", "cor25")
@@ -53,6 +53,16 @@ def lemma_cardinality_bound(m: int, d: int) -> int:
     return (2 ** d) * (m ** d)
 
 
+def lemma22_depth(m: int) -> int:
+    """D*(m): the smallest d with 2**d * m**d >= 2**(m+1) - 1, the node count."""
+    if not isinstance(m, int) or m < 1:
+        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
+    nodes, d = 2 ** (m + 1) - 1, 0
+    while lemma_cardinality_bound(m, d) < nodes:
+        d += 1
+    return d
+
+
 def best_black_count(m: int, cap: int | None = None) -> tuple[int, int]:
     """(b*, d*): the smallest black-node count maximizing the node profile,
     and that maximal minimum dichromatic count."""
@@ -91,7 +101,11 @@ def verify(m: int, which: str, cap: int | None = None) -> BoundReport:
 
     which:
       - ``lemma22``: every achievable-set cardinality is at most
-        2**d * m**d; reports the worst ratio (bound 1.0).
+        2**d * m**d; reports the worst ratio (bound 1.0).  Only
+        d <= D* (`lemma22_depth`) is computed: B_m(d) never holds more
+        black counts than T_m has nodes, and from D* on the bound is at
+        least the node count, so no larger d has a ratio above 1.  d = 0
+        (all black) has ratio exactly 1, so the worst ratio is the same.
       - ``thm27``: leaf profile at a(m) reaches at least ceil(m/2).
       - ``lipschitz_node`` / ``lipschitz_leaf``: adjacent profile steps
         move by at most 1, which is equivalent to the two-point form by
@@ -103,12 +117,13 @@ def verify(m: int, which: str, cap: int | None = None) -> BoundReport:
         raise InvalidParameterError(f"unknown verification {which!r}")
 
     if which == "lemma22":
+        _pairs_rows(m, 0, cap)  # refuses an oversized m before 2**(m+1) is formed
+        depth = lemma22_depth(m)
+        _pairs_rows(m, depth, cap)
+        sizes = _feasible_pairs(m, depth)[:, 1:].sum(axis=1).tolist()
         worst = 0.0
-        max_d = 2 ** (m + 1) - 2
-        for d in range(max_d + 1):
-            members = achievable_set(m, d, cap=cap)
-            bound = lemma_cardinality_bound(m, d)
-            worst = max(worst, len(members) / bound)
+        for d, size in enumerate(sizes):
+            worst = max(worst, size / lemma_cardinality_bound(m, d))
         return BoundReport(
             m=m,
             quantity="max cardinality ratio |B_m(d)| / (2^d m^d)",

@@ -15,8 +15,8 @@ or out of memory), 3 a verification came back negative.
 
 Output is byte-stable for fixed inputs and seed: JSON keys are sorted,
 floats are printed to 12 significant digits, and the environment only
-enters through ``DICHROMAT_MAX_M``, which lifts (or lowers) the dynamic
-programs' depth caps.
+enters through ``DICHROMAT_MAX_M``, which lifts (or lowers) the profile
+depth cap and lowers the depth allowed for achievable sets.
 """
 
 from __future__ import annotations
@@ -213,8 +213,9 @@ def _cmd_verify(args: argparse.Namespace, cap: int | None) -> int:
 
 def _cmd_width(args: argparse.Namespace, cap: int | None) -> int:
     params = _load_params(args.params)
+    profile = dp.leaf_profile(args.m, cap=cap)  # checks the cap before a(m)
     a = bounds_mod.a_of_m(args.m)
-    leaf_value = dp.leaf_profile(args.m, cap=cap)[a]
+    leaf_value = profile[a]
     _emit_json(
         {
             "command": "width-bound",

@@ -12,20 +12,29 @@ arithmetic on the sentinel can overflow or masquerade as a real count.
 
 Both programs merge two children with one primitive, the support of the
 2-D self-convolution of a 0/1 table: the achievable-set program on
-(black count, dichromatic count) tables, the profile program on
+(dichromatic count, black count) tables, the profile program on
 (attach cost, count) indicators, where the lowest cost row hit at a count
-is the min-plus value there.  A real FFT runs along the count axis, zero
-padded to the next power of two, and each output row is summed directly;
-before it is cropped and thresholded, every row must lie within 0.25 of
-an integer vector, or `DichromatError` is raised.
+is the min-plus value there.  A real FFT runs along the longer axis,
+zero padded to the next power of two, and each output line of the
+shorter axis is summed directly, over each unordered pair of input lines
+once; before it is cropped and thresholded, every line must lie within
+0.25 of an integer vector, or `DichromatError` is raised.
+
+The achievable-set table F[d, b] stops at a depth ``max_d``: merging
+only adds dichromatic edges, so rows past ``max_d`` never feed rows at
+or below it, and every merge cuts them off.  Only the white-root table
+is kept: swapping every color keeps d and maps b to size - b, so the
+black-root table is the white one mirrored along b.
 
 `witness` walks the per-depth tables back down one level at a time: all
 nodes of a depth choose their child colors and budget split together,
 from a (nodes x left budget) table of candidate costs.
 
 Caps keep accidental exponential-memory requests out: profiles default to
-depth 14 and achievable sets to depth 8.  Pass ``cap=`` explicitly (or set
-``DICHROMAT_MAX_M`` when going through the CLI) to lift them.
+depth 14, and achievable-set tables to `PAIRS_CELLS_CAP` cells, checked
+before anything of size 2**m is formed.  Pass ``cap=`` explicitly (or
+set ``DICHROMAT_MAX_M`` when going through the CLI) to move the profile
+cap, or to lower the depth allowed for achievable sets.
 """
 
 from __future__ import annotations
@@ -49,7 +58,12 @@ from .tree import (
 )
 
 DEFAULT_PROFILE_CAP = 14
-DEFAULT_ACHIEVABLE_CAP = 8
+
+# Largest F[d, b] table `_feasible_pairs` may build, in cells.  A
+# one-row table costs the most per cell (the spectrum row and the
+# inverse-transform buffers span the whole b axis); the largest legal one,
+# m = 22 at d = 0, peaks at 386 MB resident (numpy 2.4, x86-64 Linux).
+PAIRS_CELLS_CAP = 3 << 22
 
 NODE = "node"
 LEAF = "leaf"
@@ -87,33 +101,47 @@ class DpProfile:
         return self.index_range.start + pos, int(self.min_d[pos])
 
 
-def _check_depth(m: int, cap: int | None, default_cap: int, what: str) -> None:
+def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) -> None:
     if not isinstance(m, int) or m < 1:
         raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
     effective = default_cap if cap is None else cap
-    if m > effective:
+    if effective is not None and m > effective:
         raise CapacityError(f"{what} is capped at m={effective}, got m={m}")
 
 
-def _self_convolve_support(x: np.ndarray) -> np.ndarray:
+def _self_convolve_support(x: np.ndarray, out_rows: int | None = None) -> np.ndarray:
     """Support of the 2-D self-convolution of a 0/1 array: an (r, c)
-    input gives a (2r-1, 2c-1) boolean output."""
+    input gives a (2r-1, 2c-1) boolean output, or its first ``out_rows``
+    rows.  The loop runs over the shorter axis."""
     rows, cols = x.shape
+    if rows > cols:
+        return _self_convolve_support(x.T).T[:out_rows]
+    out_rows = 2 * rows - 1 if out_rows is None else min(out_rows, 2 * rows - 1)
     width = 2 * cols - 1
     n = 1 << (width - 1).bit_length()
-    spectra = np.fft.rfft(x, n=n, axis=1)
-    out = np.empty((2 * rows - 1, width), dtype=bool)
-    for r in range(2 * rows - 1):
-        lo, hi = max(0, r - rows + 1), min(r, rows - 1)
-        pairs = spectra[lo : hi + 1], spectra[r - hi : r - lo + 1][::-1]
-        acc = np.einsum("ij,ij->j", *pairs)
-        row = np.fft.irfft(acc, n=n)
-        residual = float(np.abs(row - np.rint(row)).max())
+    spectra = np.empty((rows, n // 2 + 1), dtype=complex)
+    for r in range(rows):
+        np.fft.rfft(x[r], n=n, out=spectra[r])
+    acc = np.empty(n // 2 + 1, dtype=complex)
+    row, frac = np.empty(n), np.empty(n)
+    out = np.empty((out_rows, width), dtype=bool)
+    for r in range(out_rows):
+        # rows i and r - i pair up both ways; every term is nonnegative,
+        # so the pairs with i < r - i and the square of row r/2 give the
+        # same support at half the products
+        lo, top = max(0, r - rows + 1), (r - 1) // 2
+        pairs = spectra[lo : top + 1], spectra[r - top : r - lo + 1][::-1]
+        np.einsum("ij,ij->j", *pairs, out=acc)
+        if r % 2 == 0 and r // 2 < rows:
+            acc += np.square(spectra[r // 2])
+        row = np.fft.irfft(acc, n=n, out=row)
+        np.subtract(row, np.rint(row, out=frac), out=frac)
+        residual = float(np.abs(frac, out=frac).max())
         if not residual < 0.25:
             raise DichromatError(
                 f"internal error: FFT rounding residual {residual:.3g} >= 0.25"
             )
-        out[r] = row[:width] > 0.5
+        np.greater(row[:width], 0.5, out=out[r])
     return out
 
 
@@ -253,28 +281,43 @@ def witness(profile: DpProfile, index: int) -> Coloring:
 # achievable (black count, dichromatic count) pairs
 
 
-@lru_cache(maxsize=8)
-def _feasible_pairs(m: int) -> np.ndarray:
-    """Boolean table F[b, d]: some coloring of T_m has exactly b black
-    nodes and d dichromatic edges.  b runs 0..node_count, d 0..node_count-1."""
-    current = [np.zeros((2, 1), dtype=bool) for _ in (WHITE, BLACK)]
-    current[WHITE][0, 0] = True
-    current[BLACK][1, 0] = True
-    b_width = 2
+def _pairs_rows(m: int, max_d: int, cap: int | None) -> int:
+    """Rows of the F[d, b] table of T_m cut at ``max_d``.
+
+    Raises `CapacityError` past ``cap`` or `PAIRS_CELLS_CAP`, before
+    anything of size 2**m is formed.
+    """
+    _check_depth(m, cap, None, "achievable_set")
+    if m + 1 < PAIRS_CELLS_CAP.bit_length():
+        rows = min(max_d, 2 ** (m + 1) - 2) + 1
+        if rows << (m + 1) <= PAIRS_CELLS_CAP:
+            return rows
+    raise CapacityError(
+        f"the feasible-pairs table at m={m} cut at d={max_d} exceeds the cap "
+        f"of {PAIRS_CELLS_CAP} cells; use a smaller m or d"
+    )
+
+
+@lru_cache(maxsize=4)
+def _feasible_pairs(m: int, max_d: int) -> np.ndarray:
+    """Read-only boolean table F[d, b] for d <= max_d: some coloring of
+    T_m has exactly b black nodes and d dichromatic edges.  b runs
+    0..node_count, d 0..min(max_d, node_count - 1)."""
+    white = np.array([[True, False]])  # a leaf: no edges, white root, b = 0
     for _ in range(m):
-        d_width = current[0].shape[1]
-        nxt = []
-        for c in (WHITE, BLACK):
-            ext = np.zeros((b_width, d_width + 1), dtype=bool)
-            ext[:, :-1] = current[c]
-            ext[:, 1:] |= current[1 - c]
-            conv = _self_convolve_support(ext)
-            tab = np.zeros((2 * b_width, conv.shape[1]), dtype=bool)
-            tab[c : c + conv.shape[0]] = conv
-            nxt.append(tab)
-        current = nxt
-        b_width *= 2
-    return current[WHITE] | current[BLACK]
+        rows, cols = white.shape
+        keep = min(max_d, 2 * cols - 2) + 1  # the merged subtree has 2*cols - 2 edges
+        # a child hangs from a white root either white, or black (the
+        # mirrored table) over one more dichromatic edge
+        ext = np.zeros((min(rows + 1, keep), cols), dtype=bool)
+        ext[:rows] = white[: len(ext)]
+        ext[1:] |= white[: len(ext) - 1, ::-1]
+        conv = _self_convolve_support(ext, keep)
+        white = np.zeros((keep, 2 * cols), dtype=bool)
+        white[:, :-1] = conv  # a white root adds no black node
+    table = white | white[:, ::-1]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -294,13 +337,16 @@ class AchievableSet:
 
 def achievable_set(m: int, d: int, cap: int | None = None) -> AchievableSet:
     """Exact B_m(d), restricted to black counts >= 1."""
-    _check_depth(m, cap, DEFAULT_ACHIEVABLE_CAP, "achievable_set")
+    _pairs_rows(m, 0, cap)
     max_d = 2 ** (m + 1) - 2
     if not isinstance(d, int) or not 0 <= d <= max_d:
         raise InvalidParameterError(f"d must lie in 0..{max_d}, got {d!r}")
-    table = _feasible_pairs(m)
-    members = tuple(int(b) for b in np.flatnonzero(table[:, d]) if b >= 1)
-    return AchievableSet(m=m, d=d, members=members)
+    _pairs_rows(m, d, cap)
+    # built to depth 2**k - 1 where the cap allows, so queries at rising d
+    # share a few tables
+    depth = min((1 << d.bit_length()) - 1, max_d, PAIRS_CELLS_CAP // (max_d + 2) - 1)
+    members = np.flatnonzero(_feasible_pairs(m, depth)[d, 1:]) + 1
+    return AchievableSet(m=m, d=d, members=tuple(members.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationRep
     """Check shape, empty start, full end, capacity range, and step bound.
 
     Reports the first violating step; comparisons use a relative
-    tolerance so float-built traces do not trip on rounding dust.  At one
+    tolerance so float-built traces do not trip on rounding dust.  A
+    non-finite volume is an entry outside [0, capacity].  At one
     step the checks rank in the order listed.  The table is read in row
     blocks of about `_BLOCK_CELLS` cells, each overlapping the previous
     one by a row for the step differences, so the extra memory does not
@@ -128,9 +129,10 @@ def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationRep
         window = steps[lo : start + block_rows]
         block = window[start - lo :]
         violations: list[tuple[int, str]] = []
-        outside = block < -tol
-        outside |= block > high
-        bad = np.flatnonzero(outside.any(axis=1))
+        # NaN fails both comparisons, so it counts as outside
+        inside = block >= -tol
+        inside &= block <= high
+        bad = np.flatnonzero(~inside.all(axis=1))
         if bad.size:
             violations.append((start + int(bad[0]), "entry outside [0, capacity]"))
         jumps = np.subtract(window[1:], window[:-1], out=diff[: len(window) - 1])
@@ -395,7 +397,10 @@ def _parse_record(line: str, col_of: dict[str, int]) -> tuple[int, int, float]:
     step = int(step_text)
     if step < 0:
         raise ValueError(f"negative step {step}")
-    return step, col_of[ident], float(value_text)
+    value = float(value_text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite volume {value}")
+    return step, col_of[ident], value
 
 
 def trace_read_csv(
@@ -404,7 +409,8 @@ def trace_read_csv(
     """Inverse of `trace_write_csv` for the given region graph.
 
     Blank lines are skipped.  Every (step, entry) cell of a dense table
-    must appear exactly once; a step index is a nonnegative integer.
+    must appear exactly once; a step index is a nonnegative integer and
+    a volume a finite float.
     """
     own = isinstance(source, (str, Path))
     fh = open(source) if own else source
@@ -432,8 +438,8 @@ def trace_read_csv(
             step[part] = np.fromiter(map(int, fields[0::3]), np.int64)
             col[part] = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp)
             value[part] = np.fromiter(map(float, fields[2::3]), np.float64)
-        if n and step.min() < 0:
-            raise ValueError("negative step")
+        if n and (step.min() < 0 or not np.isfinite(value).all()):
+            raise ValueError("negative step or non-finite volume")
     except (ValueError, KeyError, OverflowError):
         for lineno, line in enumerate(lines[1:], start=2):
             if line.strip():

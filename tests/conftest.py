@@ -142,7 +142,8 @@ def validate_trace_dense(trace, rel_tol: float = 1e-9) -> tuple[bool, str, int |
     violations: list[tuple[int, str]] = []
     if np.abs(steps[0]).max() > tol:
         violations.append((0, "first step is not the empty vector"))
-    out_of_range = (steps < -tol) | (steps > caps[None, :] + tol)
+    # NaN fails both comparisons, so a non-finite volume is out of range
+    out_of_range = ~((steps >= -tol) & (steps <= caps[None, :] + tol))
     if out_of_range.any():
         step = int(np.flatnonzero(out_of_range.any(axis=1))[0])
         violations.append((step, "entry outside [0, capacity]"))

@@ -34,6 +34,7 @@ from dichromat import (
     region_graph,
     validate_trace,
 )
+from dichromat.bounds import lemma22_depth
 from conftest import brute_max_matching, random_coloring, random_rational_params
 
 # m -> (smallest argmax b*, peak d*) of the node profile; the DERIVED
@@ -88,9 +89,13 @@ def test_criterion_2_leaf_theorem_replay():
 
 
 def test_criterion_3_cardinality_bound():
-    with criterion(3, "achievable-set size within 2^d * m^d, m <= 6", budget=300.0):
-        for m in range(1, 7):
-            for d in range(0, 2 ** (m + 1) - 1):
+    with criterion(3, "achievable-set size within 2^d * m^d, m <= 16", budget=60.0):
+        for m in range(1, 17):
+            nodes, depth = 2 ** (m + 1) - 1, lemma22_depth(m)
+            # from D* on the bound is at least the node count, which no
+            # achievable set exceeds; below m = 7 every d is checked anyway
+            assert lemma_cardinality_bound(m, depth) >= nodes
+            for d in range(0, (nodes - 1 if m <= 6 else depth) + 1):
                 size = len(achievable_set(m, d))
                 assert size <= lemma_cardinality_bound(m, d), (m, d, size)
 

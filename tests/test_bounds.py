@@ -10,6 +10,7 @@ from dichromat import (
     theorem_leaf_bound,
     verify,
 )
+from dichromat.bounds import lemma22_depth
 
 A_VALUES = [1, 1, 3, 5, 11, 21, 43, 85, 171, 341, 683, 1365]
 
@@ -95,3 +96,18 @@ def test_verify_respects_cap():
 
     with pytest.raises(CapacityError):
         verify(3, "thm27", cap=2)
+
+
+def test_lemma22_depth():
+    # smallest d with (2m)^d >= 2^(m+1) - 1
+    assert [lemma22_depth(m) for m in (1, 2, 7, 8, 16, 20, 21)] == [2, 2, 3, 3, 4, 4, 5]
+    for m in range(1, 25):
+        d = lemma22_depth(m)
+        assert lemma_cardinality_bound(m, d) >= 2 ** (m + 1) - 1
+        assert d == 0 or lemma_cardinality_bound(m, d - 1) < 2 ** (m + 1) - 1
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_lemma22_holds_deep(m):
+    report = verify(m, "lemma22")
+    assert report.holds and report.computed_value == 1.0

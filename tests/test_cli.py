@@ -179,7 +179,8 @@ def test_out_of_range_exit_1(capsys):
 
 
 def test_capacity_exit_2(capsys):
-    code, _, err = run(capsys, "bset", "-m", "12", "-d", "0")
+    # even one row of the m = 23 table is above the cell cap
+    code, _, err = run(capsys, "bset", "-m", "23", "-d", "0")
     assert code == 2
     assert "capacity" in err
 
@@ -188,9 +189,12 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("DICHROMAT_MAX_M", "2")
     code, _, err = run(capsys, "profile", "--kind", "node", "-m", "3")
     assert code == 2
-    monkeypatch.setenv("DICHROMAT_MAX_M", "9")
-    code, out, _ = run(capsys, "bset", "-m", "9", "-d", "0")
-    assert code == 0  # raised above the built-in default
+    monkeypatch.setenv("DICHROMAT_MAX_M", "8")
+    code, _, err = run(capsys, "bset", "-m", "9", "-d", "0")
+    assert code == 2  # lowers the depth allowed for achievable sets
+    monkeypatch.setenv("DICHROMAT_MAX_M", "30")
+    code, _, err = run(capsys, "bset", "-m", "23", "-d", "0")
+    assert code == 2  # but cannot lift the cell cap
 
 
 def test_env_cap_junk_exit_1(capsys, monkeypatch):
@@ -245,14 +249,54 @@ def test_sweepout_builds_no_leaf_profile(capsys, monkeypatch):
     assert calls == []
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     # OpenBLAS reserves address space per thread; one thread keeps numpy's
     # import well inside the address-space limit used below
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     env.pop("DICHROMAT_MAX_M", None)
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def _main_in_one_gib(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """cli.main(argv) in a child process under a 1 GiB address-space
+    limit; the last stderr line is the seconds it took, import excluded."""
+    script = (
+        "import resource, sys, time\n"
+        "limit = 2**30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from dichromat import cli\n"
+        "start = time.perf_counter()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(f'{time.perf_counter() - start:.3f}', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    return _python("-c", script, *argv, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("width-bound", "-m", "200000"),
+        ("verify", "--which", "lemma22", "-m", "10000000000"),
+        ("bset", "-m", "24", "-d", "2000"),
+    ],
+    ids=["width-bound", "lemma22", "bset"],
+)
+def test_oversized_m_refused_before_work(argv):
+    # the cap is checked before a(m), 2**(m+1) or any table is formed
+    proc = _main_in_one_gib(*argv, timeout=30)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "capacity exceeded" in proc.stderr and "Traceback" not in proc.stderr
+    assert float(proc.stderr.splitlines()[-1]) < 2.0
+
+
+def test_lemma22_m20_runs_in_one_gib():
+    proc = _main_in_one_gib("verify", "--which", "lemma22", "-m", "20")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout)
+    assert doc["holds"] is True and doc["computed"] == 1.0
 
 
 def test_python_m_dichromat():
@@ -271,14 +315,7 @@ def test_dense_trace_over_cap_exits_2():
     # A 1 GiB address-space limit turns any attempt at the full dense table
     # (about 23.5 GiB at m=12) into an immediate allocation failure, so the
     # check never asks the machine for the memory.
-    script = (
-        "import resource, sys\n"
-        "limit = 2**30\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-        "from dichromat import cli\n"
-        "sys.exit(cli.main(['sweepout', '--strategy', 'dfs-fill', '-m', '12']))\n"
-    )
-    proc = _python("-c", script)
+    proc = _main_in_one_gib("sweepout", "--strategy", "dfs-fill", "-m", "12")
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "capacity exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -297,13 +334,6 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 
 def test_dense_trace_m9_runs_in_one_gib():
     # the 375 MiB m=9 table is the only table-sized allocation of the query
-    script = (
-        "import resource, sys\n"
-        "limit = 2**30\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-        "from dichromat import cli\n"
-        "sys.exit(cli.main(['sweepout', '--strategy', 'dfs-fill', '-m', '9']))\n"
-    )
-    proc = _python("-c", script)
+    proc = _main_in_one_gib("sweepout", "--strategy", "dfs-fill", "-m", "9")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["steps"] == 24043

@@ -3,7 +3,8 @@ structural guarantees (witness validity, capacity limits, matching)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dichromat import (
     CapacityError,
@@ -24,6 +25,7 @@ from dichromat import (
 from dichromat import dp
 from conftest import (
     brute_max_matching,
+    convolve2d_bigint,
     feasible_pairs_bigint,
     minplus_self_loop,
     random_coloring,
@@ -163,8 +165,15 @@ def test_achievable_set_rejects_out_of_range():
         achievable_set(2, 7)
     with pytest.raises(InvalidParameterError):
         achievable_set(2, -1)
+    # the cap is on table cells: m = 20 stops at d = 5, and m = 23 has no
+    # table under the cap at all; both refusals come before any table
+    assert dp._pairs_rows(20, 5, None) == 6
     with pytest.raises(CapacityError):
-        achievable_set(9, 0)
+        achievable_set(20, 6)
+    with pytest.raises(CapacityError):
+        achievable_set(23, 0)
+    with pytest.raises(CapacityError):
+        achievable_set(9, 0, cap=8)  # an explicit cap still bounds the depth
 
 
 def test_achievable_profile_consistency():
@@ -177,6 +186,36 @@ def test_achievable_profile_consistency():
             for b in achievable_set(m, d, cap=9):
                 best.setdefault(b, d)  # first d is minimal, loop ascends
         assert best == dict(prof.items()), m
+
+
+def test_achievable_sets_share_tables():
+    # every d at m = 7 is served by log2(d)-rounded depths, not one table per d
+    dp._feasible_pairs.cache_clear()
+    for d in range(2 ** 8 - 1):
+        achievable_set(7, d)
+    assert dp._feasible_pairs.cache_info().misses == 9
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_node_profile_equals_first_feasible_depth(m):
+    # a min-plus recurrence against a boolean (d, b) one: the node profile
+    # at b is the least d with F[d, b]
+    prof = node_profile(m, cap=16)
+    table = dp._feasible_pairs(m, int(prof.min_d.max()))
+    assert table[:, 1:].any(axis=0).all()
+    np.testing.assert_array_equal(table[:, 1:].argmax(axis=0), prof.min_d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=12)),
+    st.one_of(st.none(), st.integers(1, 24)),
+)
+@example(np.ones((9, 2), dtype=bool), None)  # rows > cols: transposed
+@example(np.ones((2, 9), dtype=bool), 2)
+def test_self_convolve_support_equals_bigint(x, out_rows):
+    want = convolve2d_bigint(x.astype(np.uint64), x.astype(np.uint64)) > 0
+    np.testing.assert_array_equal(dp._self_convolve_support(x, out_rows), want[:out_rows])
 
 
 @settings(max_examples=200)
@@ -192,16 +231,17 @@ def test_minplus_equals_loop_oracle(values, offset):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_feasible_pairs_equal_bigint_oracle(m):
-    got = dp._feasible_pairs(m)
-    want = feasible_pairs_bigint(m)
-    assert got.dtype == bool and got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
+    want = feasible_pairs_bigint(m).T  # the oracle is indexed [b, d]
+    for max_d in (0, 1, 3, 2 ** (m + 1) - 2):
+        got = dp._feasible_pairs(m, max_d)
+        assert got.dtype == bool and got.shape == want[: max_d + 1].shape
+        np.testing.assert_array_equal(got, want[: max_d + 1])
 
 
 def test_fft_residual_guard_raises(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
-    for build in (node_profile, leaf_profile, dp._feasible_pairs.__wrapped__):
+    for build in (node_profile, leaf_profile, lambda m: dp._feasible_pairs.__wrapped__(m, 3)):
         with pytest.raises(DichromatError, match="residual"):
             build(3)
 

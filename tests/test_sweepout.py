@@ -351,8 +351,7 @@ def test_validate_blocks_match_dense_oracle(small_blocks, marks, offset):
     boundary = 4 * BLOCK_ROWS
     shifted = [(kind, boundary + offset + extra) for kind, extra in marks]
     report = _reports_agree(_perturbed(small_blocks, shifted))
-    if marks not in ([("nan", 0)], [("nan", 0), ("jump", 0)]):
-        assert not report.ok
+    assert not report.ok
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,6 +467,16 @@ def test_csv_duplicate_record_rejected(params, replace):
         _read_lines(lines, trace)
 
 
+@pytest.mark.parametrize("volume", ["nan", "inf", "-inf"])
+def test_csv_non_finite_volume_rejected(params, volume):
+    trace = generate_trace("uniform", 2, params)
+    lines = _csv_lines(trace)
+    step, ident, _ = lines[40].split(",")
+    lines[40] = f"{step},{ident},{volume}"
+    with pytest.raises(TraceError, match=f"^line 41: bad record '{lines[40]}'$"):
+        _read_lines(lines, trace)
+
+
 def test_csv_bad_line_named(params):
     trace = generate_trace("uniform", 2, params)
     lines = _csv_lines(trace)
@@ -488,3 +497,27 @@ def test_csv_header_only_reads_empty_table(params):
     graph = region_graph(2, params)
     back = trace_read_csv(io.StringIO("step,entry,volume\n"), graph, 0.1)
     assert back.steps.shape == (0, graph.entry_count)
+
+
+# ---------------------------------------------------------------------------
+# non-finite volumes
+
+
+def test_nan_rows_hiding_a_jump_rejected(params):
+    # NaN in column 0 of rows 5-7 must not hide a 10x step-bound jump in row 6
+    trace = generate_trace("uniform", 3, params)
+    steps = trace.steps.copy()
+    steps[5:8, 0] = np.nan
+    steps[6:, 1] = np.minimum(steps[6:, 1] + 10 * trace.step_bound, trace.graph.capacities[1])
+    bad = SweepoutTrace(graph=trace.graph, steps=steps, step_bound=trace.step_bound)
+    report = _reports_agree(bad)
+    assert (report.ok, report.message, report.step) == (False, "entry outside [0, capacity]", 5)
+
+
+def test_all_nan_interior_rejected(params):
+    trace = generate_trace("uniform", 3, params)
+    steps = trace.steps.copy()
+    steps[1:-1] = np.nan
+    bad = SweepoutTrace(graph=trace.graph, steps=steps, step_bound=trace.step_bound)
+    report = _reports_agree(bad)
+    assert (report.ok, report.message, report.step) == (False, "entry outside [0, capacity]", 1)
