@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import _feasible_pairs, _pairs_rows, leaf_profile, node_profile
+from .dp import feasible_pairs, leaf_profile, node_profile, pairs_depth_limit
 from .errors import InvalidParameterError
 
 VERIFY_KINDS = ("lemma22", "thm27", "lipschitz_node", "lipschitz_leaf", "cor25")
@@ -117,10 +117,8 @@ def verify(m: int, which: str, cap: int | None = None) -> BoundReport:
         raise InvalidParameterError(f"unknown verification {which!r}")
 
     if which == "lemma22":
-        _pairs_rows(m, 0, cap)  # refuses an oversized m before 2**(m+1) is formed
-        depth = lemma22_depth(m)
-        _pairs_rows(m, depth, cap)
-        sizes = _feasible_pairs(m, depth)[:, 1:].sum(axis=1).tolist()
+        pairs_depth_limit(m, cap)  # refuses an oversized m before 2**(m+1) is formed
+        sizes = feasible_pairs(m, lemma22_depth(m), cap)[:, 1:].sum(axis=1).tolist()
         worst = 0.0
         for d, size in enumerate(sizes):
             worst = max(worst, size / lemma_cardinality_bound(m, d))

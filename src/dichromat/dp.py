@@ -14,11 +14,11 @@ Both programs merge two children with one primitive, the support of the
 2-D self-convolution of a 0/1 table: the achievable-set program on
 (dichromatic count, black count) tables, the profile program on
 (attach cost, count) indicators, where the lowest cost row hit at a count
-is the min-plus value there.  A real FFT runs along the longer axis,
-zero padded to the next power of two, and each output line of the
-shorter axis is summed directly, over each unordered pair of input lines
-once; before it is cropped and thresholded, every line must lie within
-0.25 of an integer vector, or `DichromatError` is raised.
+is the min-plus value there.  Both tables are wide, so a real FFT runs
+along the columns, zero padded to the next power of two, and each output
+row is summed directly, over each unordered pair of input rows once;
+before it is cropped and thresholded, every row must lie within 0.25 of
+an integer vector, or `DichromatError` is raised.
 
 The achievable-set table F[d, b] stops at a depth ``max_d``: merging
 only adds dichromatic edges, so rows past ``max_d`` never feed rows at
@@ -31,8 +31,9 @@ nodes of a depth choose their child colors and budget split together,
 from a (nodes x left budget) table of candidate costs.
 
 Caps keep accidental exponential-memory requests out: profiles default to
-depth 14, and achievable-set tables to `PAIRS_CELLS_CAP` cells, checked
-before anything of size 2**m is formed.  Pass ``cap=`` explicitly (or
+depth 14, and achievable-set tables to `PAIRS_CELLS_CAP` cells:
+`pairs_depth_limit` is the one place that turns the cell cap into a
+depth, before anything of size 2**m is formed.  Pass ``cap=`` explicitly (or
 set ``DICHROMAT_MAX_M`` when going through the CLI) to move the profile
 cap, or to lower the depth allowed for achievable sets.
 """
@@ -62,7 +63,7 @@ DEFAULT_PROFILE_CAP = 14
 # Largest F[d, b] table `_feasible_pairs` may build, in cells.  A
 # one-row table costs the most per cell (the spectrum row and the
 # inverse-transform buffers span the whole b axis); the largest legal one,
-# m = 22 at d = 0, peaks at 386 MB resident (numpy 2.4, x86-64 Linux).
+# m = 22 at d = 0, peaks at 367 MB resident (numpy 2.4, x86-64 Linux).
 PAIRS_CELLS_CAP = 3 << 22
 
 NODE = "node"
@@ -112,18 +113,14 @@ def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) ->
 def _self_convolve_support(x: np.ndarray, out_rows: int | None = None) -> np.ndarray:
     """Support of the 2-D self-convolution of a 0/1 array: an (r, c)
     input gives a (2r-1, 2c-1) boolean output, or its first ``out_rows``
-    rows.  The loop runs over the shorter axis."""
+    rows.  The loop runs over output rows, so wide inputs are cheap."""
     rows, cols = x.shape
-    if rows > cols:
-        return _self_convolve_support(x.T).T[:out_rows]
     out_rows = 2 * rows - 1 if out_rows is None else min(out_rows, 2 * rows - 1)
     width = 2 * cols - 1
     n = 1 << (width - 1).bit_length()
-    spectra = np.empty((rows, n // 2 + 1), dtype=complex)
-    for r in range(rows):
-        np.fft.rfft(x[r], n=n, out=spectra[r])
+    spectra = np.fft.rfft(x, n=n, axis=1)
     acc = np.empty(n // 2 + 1, dtype=complex)
-    row, frac = np.empty(n), np.empty(n)
+    frac = np.empty(n)
     out = np.empty((out_rows, width), dtype=bool)
     for r in range(out_rows):
         # rows i and r - i pair up both ways; every term is nonnegative,
@@ -134,7 +131,7 @@ def _self_convolve_support(x: np.ndarray, out_rows: int | None = None) -> np.nda
         np.einsum("ij,ij->j", *pairs, out=acc)
         if r % 2 == 0 and r // 2 < rows:
             acc += np.square(spectra[r // 2])
-        row = np.fft.irfft(acc, n=n, out=row)
+        row = np.fft.irfft(acc, n=n)
         np.subtract(row, np.rint(row, out=frac), out=frac)
         residual = float(np.abs(frac, out=frac).max())
         if not residual < 0.25:
@@ -281,28 +278,40 @@ def witness(profile: DpProfile, index: int) -> Coloring:
 # achievable (black count, dichromatic count) pairs
 
 
-def _pairs_rows(m: int, max_d: int, cap: int | None) -> int:
-    """Rows of the F[d, b] table of T_m cut at ``max_d``.
+def pairs_depth_limit(m: int, cap: int | None = None) -> int:
+    """Largest ``max_d`` at which `feasible_pairs` may cut the table of
+    T_m: (max_d + 1) rows of 2**(m+1) black counts fit `PAIRS_CELLS_CAP`.
 
-    Raises `CapacityError` past ``cap`` or `PAIRS_CELLS_CAP`, before
-    anything of size 2**m is formed.
+    Raises `CapacityError` past ``cap`` or where not even d = 0 fits,
+    before anything of size 2**m is formed.
     """
     _check_depth(m, cap, None, "achievable_set")
     if m + 1 < PAIRS_CELLS_CAP.bit_length():
-        rows = min(max_d, 2 ** (m + 1) - 2) + 1
-        if rows << (m + 1) <= PAIRS_CELLS_CAP:
-            return rows
+        return (PAIRS_CELLS_CAP >> (m + 1)) - 1
     raise CapacityError(
-        f"the feasible-pairs table at m={m} cut at d={max_d} exceeds the cap "
-        f"of {PAIRS_CELLS_CAP} cells; use a smaller m or d"
+        f"the feasible-pairs table at m={m} exceeds the cap of "
+        f"{PAIRS_CELLS_CAP} cells at any d; use a smaller m"
     )
+
+
+def feasible_pairs(m: int, max_d: int, cap: int | None = None) -> np.ndarray:
+    """Read-only boolean table F[d, b] for d <= max_d: some coloring of
+    T_m has exactly b black nodes and d dichromatic edges.  b runs
+    0..node_count, d 0..min(max_d, node_count - 1).
+
+    Raises `CapacityError` where ``max_d`` passes `pairs_depth_limit`.
+    """
+    if max_d > pairs_depth_limit(m, cap):
+        raise CapacityError(
+            f"the feasible-pairs table at m={m} cut at d={max_d} exceeds the cap "
+            f"of {PAIRS_CELLS_CAP} cells; use a smaller m or d"
+        )
+    return _feasible_pairs(m, max_d)
 
 
 @lru_cache(maxsize=4)
 def _feasible_pairs(m: int, max_d: int) -> np.ndarray:
-    """Read-only boolean table F[d, b] for d <= max_d: some coloring of
-    T_m has exactly b black nodes and d dichromatic edges.  b runs
-    0..node_count, d 0..min(max_d, node_count - 1)."""
+    """`feasible_pairs` without the cap check, cached by (m, max_d)."""
     white = np.array([[True, False]])  # a leaf: no edges, white root, b = 0
     for _ in range(m):
         rows, cols = white.shape
@@ -337,15 +346,14 @@ class AchievableSet:
 
 def achievable_set(m: int, d: int, cap: int | None = None) -> AchievableSet:
     """Exact B_m(d), restricted to black counts >= 1."""
-    _pairs_rows(m, 0, cap)
+    limit = pairs_depth_limit(m, cap)
     max_d = 2 ** (m + 1) - 2
     if not isinstance(d, int) or not 0 <= d <= max_d:
         raise InvalidParameterError(f"d must lie in 0..{max_d}, got {d!r}")
-    _pairs_rows(m, d, cap)
     # built to depth 2**k - 1 where the cap allows, so queries at rising d
-    # share a few tables
-    depth = min((1 << d.bit_length()) - 1, max_d, PAIRS_CELLS_CAP // (max_d + 2) - 1)
-    members = np.flatnonzero(_feasible_pairs(m, depth)[d, 1:]) + 1
+    # share a few tables; a d past the cap is refused by feasible_pairs
+    depth = max(d, min((1 << d.bit_length()) - 1, max_d, limit))
+    members = np.flatnonzero(feasible_pairs(m, depth, cap)[d, 1:]) + 1
     return AchievableSet(m=m, d=d, members=tuple(members.tolist()))
 
 

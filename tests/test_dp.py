@@ -167,7 +167,7 @@ def test_achievable_set_rejects_out_of_range():
         achievable_set(2, -1)
     # the cap is on table cells: m = 20 stops at d = 5, and m = 23 has no
     # table under the cap at all; both refusals come before any table
-    assert dp._pairs_rows(20, 5, None) == 6
+    assert dp.pairs_depth_limit(20) == 5
     with pytest.raises(CapacityError):
         achievable_set(20, 6)
     with pytest.raises(CapacityError):
@@ -211,7 +211,7 @@ def test_node_profile_equals_first_feasible_depth(m):
     arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=12)),
     st.one_of(st.none(), st.integers(1, 24)),
 )
-@example(np.ones((9, 2), dtype=bool), None)  # rows > cols: transposed
+@example(np.ones((9, 2), dtype=bool), None)  # taller than wide
 @example(np.ones((2, 9), dtype=bool), 2)
 def test_self_convolve_support_equals_bigint(x, out_rows):
     want = convolve2d_bigint(x.astype(np.uint64), x.astype(np.uint64)) > 0
