@@ -31,11 +31,7 @@ def a_of_m(m: int) -> int:
     """
     if not isinstance(m, int) or m < 1:
         raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
-    total, j = 1, m - 2
-    while j >= 1:
-        total += 2 ** j
-        j -= 2
-    return total
+    return (2**m - (-1) ** m) // 3
 
 
 def theorem_leaf_bound(m: int) -> int:

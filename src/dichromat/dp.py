@@ -2,10 +2,14 @@
 
 All subtrees rooted at the same depth are isomorphic, so every DP here
 computes one table per depth instead of one per node.  A table at depth
-``k`` maps ``(root color, count)`` to the optimum inside one depth-``k``
-subtree; merging two copies of the depth ``k+1`` table produces depth
+``k`` maps a count to the optimum inside one depth-``k`` subtree with a
+white root; merging two copies of the depth ``k+1`` table produces depth
 ``k``.  The count coordinate is the number of black nodes for the node
-profile and the number of black leaves for the leaf profile.
+profile and the number of black leaves for the leaf profile (and the
+achievable-set table adds a dichromatic-count axis).  Swapping every
+color keeps the dichromatic count and maps a count v to size - v, so
+both programs keep only the white-root table and read the black-root
+one as its mirror along the count axis.
 
 Unreachable states carry ``numpy.inf`` rather than a large integer, so no
 arithmetic on the sentinel can overflow or masquerade as a real count.
@@ -22,9 +26,7 @@ an integer vector, or `DichromatError` is raised.
 
 The achievable-set table F[d, b] stops at a depth ``max_d``: merging
 only adds dichromatic edges, so rows past ``max_d`` never feed rows at
-or below it, and every merge cuts them off.  Only the white-root table
-is kept: swapping every color keeps d and maps b to size - b, so the
-black-root table is the white one mirrored along b.
+or below it, and every merge cuts them off.
 
 `witness` walks the per-depth tables back down one level at a time: all
 nodes of a depth choose their child colors and budget split together,
@@ -76,8 +78,9 @@ class DpProfile:
 
     ``min_d[i]`` is the optimum for ``index_range[i]``: black node counts
     ``1..2**(m+1)-1`` for the node kind, black leaf counts ``0..2**m`` for
-    the leaf kind.  ``witness_seed`` holds the per-depth DP tables, which
-    is exactly the state `witness` needs to rebuild an optimal coloring.
+    the leaf kind.  ``witness_seed`` holds one white-root row per depth,
+    index 0 = root, with the black-root row as its mirror ``row[::-1]``:
+    exactly the state `witness` needs to rebuild an optimal coloring.
     """
 
     m: int
@@ -156,28 +159,18 @@ def _minplus_self(e: np.ndarray) -> np.ndarray:
 
 
 def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
-    """Per-depth tables, index 0 = root.  tables[k][c, v] is the minimum
-    dichromatic count inside a depth-k subtree with root color c and count
-    coordinate v."""
-    leaf = np.full((2, 2), np.inf)
-    leaf[WHITE, 0] = 0.0
-    leaf[BLACK, 1] = 0.0
-    tables = [leaf]
+    """Per-depth white-root rows, index 0 = root.  tables[k][v] is the
+    minimum dichromatic count inside a depth-k subtree with a white root
+    and count coordinate v; the black-root row is tables[k][::-1]."""
+    tables = [np.array([0.0, np.inf])]  # a leaf: white root, count 0
     for _ in range(m):
         child = tables[-1]
-        width = child.shape[1]
-        merged = []
-        for c in (WHITE, BLACK):
-            # attach cost of one child subtree under a parent of color c
-            e = np.minimum(child[WHITE] + (c != WHITE), child[BLACK] + (c != BLACK))
-            conv = _minplus_self(e)
-            if kind == NODE:
-                row = np.full(2 * width, np.inf)
-                row[c : c + 2 * width - 1] = conv
-            else:
-                row = conv
-            merged.append(row)
-        tables.append(np.stack(merged))
+        # a child hangs from a white root either white, or black (the
+        # mirrored row) over one more dichromatic edge
+        row = _minplus_self(np.minimum(child, child[::-1] + 1))
+        if kind == NODE:
+            row = np.append(row, np.inf)  # a white root adds no black node
+        tables.append(row)
     tables.reverse()
     return tables
 
@@ -186,7 +179,7 @@ def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
     what = "node_profile" if kind == NODE else "leaf_profile"
     _check_depth(m, cap, DEFAULT_PROFILE_CAP, what)
     tables = _profile_tables(m, kind)
-    root = np.minimum(tables[0][WHITE], tables[0][BLACK])
+    root = np.minimum(tables[0], tables[0][::-1])
     if kind == NODE:
         index_range = range(1, 2 ** (m + 1))
         values = root[1:]
@@ -227,15 +220,16 @@ def witness(profile: DpProfile, index: int) -> Coloring:
     tree = build_tree(m)
     bits = np.zeros(tree.node_count, dtype=np.uint8)
 
-    color = np.array([WHITE if tables[0][WHITE][index] == target else BLACK])
+    color = np.array([WHITE if tables[0][index] == target else BLACK])
     budget = np.array([index])
     for depth in range(m + 1):
         bits[2**depth - 1 : 2 ** (depth + 1) - 1] = color
         if depth == m:
             break
-        child = tables[depth + 1]
-        width = child.shape[1]
-        need = tables[depth][color, budget]
+        row = tables[depth]  # a black root reads it mirrored
+        need = row[np.where(color == WHITE, budget, row.size - 1 - budget)]
+        child = (tables[depth + 1], tables[depth + 1][::-1])  # white, black root
+        width = child[WHITE].size
         rem = budget - color if profile.kind == NODE else budget
         # one row per node, one column per left budget b1; the right
         # subtree gets rem - b1, and splits out of range cost inf

@@ -68,24 +68,6 @@ class SweepoutTrace:
         if self.step_bound <= 0:
             raise InvalidParameterError("step_bound must be positive")
 
-    # the column layout lives on the region graph
-    @property
-    def entry_count(self) -> int:
-        return self.graph.entry_count
-
-    def region_col(self, node: int) -> int:
-        return self.graph.region_col(node)
-
-    def tube_col(self, child: int) -> int:
-        return self.graph.tube_col(child)
-
-    @property
-    def leaf_cols(self) -> slice:
-        return self.graph.leaf_cols
-
-    def entry_ids(self) -> list[str]:
-        return self.graph.entry_ids()
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -107,10 +89,10 @@ def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationRep
     """
     steps = trace.steps
     caps = trace.graph.capacities
-    if steps.ndim != 2 or steps.shape[1] != trace.entry_count or steps.shape[0] < 2:
+    if steps.ndim != 2 or steps.shape[1] != trace.graph.entry_count or steps.shape[0] < 2:
         return ValidationReport(
             False,
-            f"expected shape (>=2, {trace.entry_count}), got {steps.shape}",
+            f"expected shape (>=2, {trace.graph.entry_count}), got {steps.shape}",
             None,
         )
     tol = rel_tol * max(1.0, float(caps.max()))
@@ -161,7 +143,7 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     if not isinstance(a, int) or not 1 <= a <= leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
-    leaf_vols = trace.steps[:, trace.leaf_cols]
+    leaf_vols = trace.steps[:, trace.graph.leaf_cols]
     counts = (leaf_vols >= alpha).sum(axis=1)
     hits = np.flatnonzero(counts >= a)
     if hits.size == 0:
@@ -196,7 +178,7 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
         raise InvalidParameterError(f"a must lie in 1..{tree.leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
     row = trace.steps[t0]
-    leaf_vols = row[trace.leaf_cols]
+    leaf_vols = row[trace.graph.leaf_cols]
 
     margin = alpha + trace.step_bound
     locked = [int(i) for i in np.flatnonzero(leaf_vols > margin)]
@@ -212,7 +194,7 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
     internal_vols = row[: tree.first_leaf - 1]
     bits[: tree.first_leaf - 1] = np.where(internal_vols >= alpha, BLACK, WHITE)
 
-    white_leaves = leaf_vols[bits[trace.leaf_cols] == WHITE]
+    white_leaves = leaf_vols[bits[trace.graph.leaf_cols] == WHITE]
     if white_leaves.size and white_leaves.max() > alpha + trace.step_bound:
         raise AdmissibilityError(
             f"a white leaf holds {white_leaves.max():.6g} > alpha + step_bound "
@@ -383,7 +365,7 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
     try:
-        ids = trace.entry_ids()
+        ids = trace.graph.entry_ids()
         fh.write(_CSV_HEADER + "\n")
         for s, row in enumerate(trace.steps):
             fh.write("".join([f"{s},{ident},{v!r}\n" for ident, v in zip(ids, row.tolist())]))

@@ -85,6 +85,26 @@ def feasible_pairs_bigint(m: int) -> np.ndarray:
     return (current[white] | current[black]) > 0
 
 
+def profile_tables_two_color(m: int, kind: str) -> list[np.ndarray]:
+    """Per-depth (root color, count) profile tables, index 0 = root, by
+    the two-color recurrence: each root color builds its own attach costs
+    and convolves them with `minplus_self_loop`.  ``kind`` is "node" or
+    "leaf"."""
+    white, black = 0, 1
+    tables = [np.array([[0.0, np.inf], [np.inf, 0.0]])]
+    for _ in range(m):
+        child = tables[-1]
+        width = child.shape[1]
+        merged = np.full((2, 2 * width if kind == "node" else 2 * width - 1), np.inf)
+        for c in (white, black):
+            attach = np.minimum(child[white] + (c != white), child[black] + (c != black))
+            shift = c if kind == "node" else 0  # a black root is one more black node
+            merged[c, shift : shift + 2 * width - 1] = minplus_self_loop(attach)
+        tables.append(merged)
+    tables.reverse()
+    return tables
+
+
 def witness_loop(tables, kind: str, m: int, index: int) -> np.ndarray:
     """Witness bits rebuilt from per-depth profile tables (index 0 = root)
     one node at a time: white before black for the left child, then the

@@ -32,8 +32,11 @@ def test_a_of_m_values():
 
 
 def test_a_of_m_recursion():
+    # a(m) is 1 plus every second power of two below m - 1, and
     # a(m) - 1 = 2 * (a(m-1) - [m even]) for m >= 3
-    for m in range(3, 13):
+    for m in range(1, 301):
+        assert a_of_m(m) == 1 + sum(2**j for j in range(m - 2, 0, -2)), m
+    for m in range(3, 301):
         m_prime = 1 if m % 2 == 0 else 0
         assert a_of_m(m) - 1 == 2 * (a_of_m(m - 1) - m_prime)
 

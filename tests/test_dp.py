@@ -28,6 +28,7 @@ from conftest import (
     convolve2d_bigint,
     feasible_pairs_bigint,
     minplus_self_loop,
+    profile_tables_two_color,
     random_coloring,
     witness_loop,
 )
@@ -93,12 +94,26 @@ def test_witness_deterministic():
     assert witness(prof, 9).as_tuple() == witness(prof, 9).as_tuple()
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("build", [node_profile, leaf_profile])
+def test_profile_rows_mirror_two_color_oracle(build, m):
+    # one white-root row per depth; its mirror is the black-root row
+    prof = build(m)
+    want = profile_tables_two_color(m, prof.kind)
+    assert len(prof.witness_seed) == len(want) == m + 1
+    for row, table in zip(prof.witness_seed, want):
+        assert row.ndim == 1
+        assert np.array_equal(row, table[0])
+        assert np.array_equal(row[::-1], table[1])
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 @pytest.mark.parametrize("build", [node_profile, leaf_profile])
 def test_witness_equals_loop_oracle(build, m):
     prof = build(m)
+    seed = [np.stack([w, w[::-1]]) for w in prof.witness_seed]
     for index in prof.index_range:
-        want = witness_loop(prof.witness_seed, prof.kind, m, index)
+        want = witness_loop(seed, prof.kind, m, index)
         assert np.array_equal(witness(prof, index).bits, want), index
 
 
@@ -113,7 +128,8 @@ def test_witness_equals_loop_oracle(build, m):
 )
 def test_witness_equals_loop_oracle_m14(build, index):
     prof = build(14)
-    want = witness_loop(prof.witness_seed, prof.kind, 14, index)
+    seed = [np.stack([w, w[::-1]]) for w in prof.witness_seed]
+    want = witness_loop(seed, prof.kind, 14, index)
     assert np.array_equal(witness(prof, index).bits, want)
 
 

@@ -150,11 +150,11 @@ def test_special_slice_counts(params):
     a = a_of_m(m)
     trace = generate_trace("dfs-fill", m, params)
     t0 = find_special_slice(trace, a)
-    leaf_vols = trace.steps[t0, trace.leaf_cols]
+    leaf_vols = trace.steps[t0, trace.graph.leaf_cols]
     alpha = float(params.alpha)
     assert np.count_nonzero(leaf_vols >= alpha) >= a
     # the step before has fewer than a leaves at or above alpha
-    prev = trace.steps[t0 - 1, trace.leaf_cols]
+    prev = trace.steps[t0 - 1, trace.graph.leaf_cols]
     assert np.count_nonzero(prev >= alpha) < a
     # admissibility margin actually used downstream
     assert np.count_nonzero(leaf_vols > alpha + trace.step_bound) <= a - 1
@@ -165,7 +165,7 @@ def test_special_slice_all_leaves(params):
     m = 2
     trace = generate_trace("dfs-fill", m, params)
     t0 = find_special_slice(trace, trace.graph.tree.leaf_count)
-    leaf = trace.steps[:, trace.leaf_cols]
+    leaf = trace.steps[:, trace.graph.leaf_cols]
     alpha = float(params.alpha)
     assert np.all(leaf[t0] >= alpha)
     assert not np.all(leaf[t0 - 1] >= alpha)
@@ -194,7 +194,7 @@ def test_induced_coloring_black_leaf_census(params):
             # black internal nodes hold at least alpha of their region
             alpha = float(params.alpha)
             for node in range(1, trace.graph.tree.first_leaf):
-                vol = trace.steps[t0, trace.region_col(node)]
+                vol = trace.steps[t0, trace.graph.region_col(node)]
                 if col.color(node):
                     assert vol >= alpha
                 else:
@@ -237,9 +237,9 @@ def test_certificate_pairs_are_verified_sandwiches(params):
     alpha = float(params.alpha)
     for parent, child in cert.sandwich_regions:
         cols = [
-            trace.region_col(parent),
-            trace.region_col(child),
-            trace.tube_col(child),
+            trace.graph.region_col(parent),
+            trace.graph.region_col(child),
+            trace.graph.tube_col(child),
         ]
         occupied = sum(row[c] for c in cols)
         total = sum(caps[c] for c in cols)
@@ -322,7 +322,7 @@ def _reports_agree(trace):
 @pytest.fixture
 def small_blocks(monkeypatch, params):
     trace = generate_trace("uniform", 2, params)
-    monkeypatch.setattr(sweepout, "_BLOCK_CELLS", BLOCK_ROWS * trace.entry_count)
+    monkeypatch.setattr(sweepout, "_BLOCK_CELLS", BLOCK_ROWS * trace.graph.entry_count)
     return trace
 
 
@@ -365,7 +365,7 @@ def test_validate_blocks_match_dense_oracle(small_blocks, marks, offset):
 def test_validate_random_marks_match_dense_oracle(block_rows, marks):
     trace = generate_trace("uniform", 2, BlockParams.default())
     old = sweepout._BLOCK_CELLS
-    sweepout._BLOCK_CELLS = block_rows * trace.entry_count
+    sweepout._BLOCK_CELLS = block_rows * trace.graph.entry_count
     try:
         _reports_agree(_perturbed(trace, marks))
     finally:
