@@ -13,10 +13,12 @@ Subcommands::
 Exit codes: 0 success, 1 invalid input, 2 capacity exceeded (a size cap,
 or out of memory), 3 a verification came back negative.
 
-Output is byte-stable for fixed inputs and seed: JSON keys are sorted,
-floats are printed to 12 significant digits, and the environment only
-enters through ``DICHROMAT_MAX_M``, which lifts (or lowers) the profile
-depth cap and lowers the depth allowed for achievable sets.
+Output is byte-stable for fixed inputs and seed.  JSON is what
+``json.dumps(doc, sort_keys=True, indent=2)`` prints: keys sorted, two
+spaces per level, floats rounded to 12 significant digits, exact
+rationals as integers or ``"p/q"`` strings.  The environment only enters
+through ``DICHROMAT_MAX_M``, which lifts (or lowers) the profile depth
+cap and lowers the depth allowed for achievable sets.
 """
 
 from __future__ import annotations
@@ -55,27 +57,75 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _jsonable(value: Any) -> Any:
-    """Normalize for byte-stable JSON: 12-digit floats, p/q strings."""
-    if isinstance(value, bool):
-        return value
+def _scalar_json(value: Any) -> str:
+    """One scalar as JSON: 12-digit floats, p/q for non-integer Fractions."""
     if isinstance(value, float):
-        return _round12(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        value = _round12(value)
+    elif isinstance(value, Fraction):
+        value = int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    return json.dumps(value)
+
+
+def _key_json(key: Any) -> str:
+    """A dict key as JSON: non-string keys become strings, as in `json`."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _write_json(value: Any, out: list[str], pad: str) -> None:
+    """Append ``value`` as sorted-key JSON indented by two spaces, with
+    ``pad`` as its enclosing indent, to ``out``.
+
+    The text is byte for byte what ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes.  A list of plain ints is one join, and a list of
+    equal-length plain-int lists one ``%`` over a row template; every
+    other scalar goes through ``json.dumps`` on its own.
+    """
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= {int, str}:
-            return list(value)
-        return [_jsonable(v) for v in value]
-    return value
+        if not value:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out += (sep, _key_json(key), ": ")
+            _write_json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out += ("[\n", inner, sep.join(map(str, value)), "\n", pad, "]")
+            return
+        if kinds <= {list, tuple} and len(widths := set(map(len, value))) == 1:
+            flat = [x for row in value for x in row]
+            width = widths.pop()
+            if width and set(map(type, flat)) == {int}:
+                cell = ",\n" + inner + "  "
+                row = "[" + cell[1:] + cell.join(["%d"] * width) + "\n" + inner + "]"
+                out += ("[\n", inner, sep.join([row] * len(value)) % tuple(flat))
+                out += ("\n", pad, "]")
+                return
+        for i, item in enumerate(value):
+            out.append(sep if i else "[\n" + inner)
+            _write_json(item, out, inner)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_scalar_json(value))
 
 
 def _emit_json(payload: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    out: list[str] = []
+    _write_json(payload, out, "")
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _params_dict(params: metric.BlockParams) -> dict[str, Any]:

@@ -109,13 +109,29 @@ class RegionGraph:
     Node volumes are heap-ordered (``node_volumes[i-1]`` is node ``i``);
     edge volumes are ordered by child index (``edge_volumes[c-2]`` is the
     tube on the edge into node ``c``).  Sweepout traces use the same order
-    as their column layout: ``[regions 1..n, tubes into 2..n]``.
+    as their column layout: ``[regions 1..n, tubes into 2..n]``.  A region
+    holds V0 minus mu per incident edge, so there are three region
+    volumes, by degree: the root (2), internal nodes (3) and leaves (1).
+    Each is computed once and repeated.
     """
 
     tree: TreeShape
     params: BlockParams
-    node_volumes: tuple[Number, ...]
-    edge_volumes: tuple[Number, ...]
+
+    @cached_property
+    def _degree_volumes(self) -> tuple[Number, Number, Number]:
+        """Root, internal and leaf region volumes."""
+        return tuple(self.params.V0 - deg * self.params.mu for deg in (2, 3, 1))
+
+    @cached_property
+    def node_volumes(self) -> tuple[Number, ...]:
+        root, internal, leaf = self._degree_volumes
+        tree = self.tree
+        return (root,) + (internal,) * (tree.first_leaf - 2) + (leaf,) * tree.leaf_count
+
+    @cached_property
+    def edge_volumes(self) -> tuple[Number, ...]:
+        return (self.params.tau,) * (self.tree.node_count - 1)
 
     @property
     def total_volume(self) -> Number:
@@ -153,19 +169,17 @@ class RegionGraph:
     @cached_property
     def capacities(self) -> np.ndarray:
         """Read-only float capacity vector in column order."""
-        caps = np.array([*map(float, self.node_volumes), *map(float, self.edge_volumes)])
+        tree = self.tree
+        volumes = [*map(float, self._degree_volumes), float(self.params.tau)]
+        counts = [1, tree.first_leaf - 2, tree.leaf_count, tree.node_count - 1]
+        caps = np.repeat(volumes, counts)
         caps.flags.writeable = False
         return caps
 
 
 def region_graph(m: int, params: BlockParams) -> RegionGraph:
     """Region volumes by degree: V0 minus mu per incident edge."""
-    tree = build_tree(m)
-    nodes = tuple(
-        params.V0 - tree.degree(i) * params.mu for i in range(1, tree.node_count + 1)
-    )
-    edges = tuple(params.tau for _ in range(tree.node_count - 1))
-    return RegionGraph(tree=tree, params=params, node_volumes=nodes, edge_volumes=edges)
+    return RegionGraph(tree=build_tree(m), params=params)
 
 
 def balanced_decomposition(m: int, params: BlockParams) -> tuple[Number, ...]:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -44,7 +44,9 @@ TRACE_BYTES_CAP = 512 * 2**20
 _BLOCK_CELLS = 1 << 18
 
 _CSV_HEADER = "step,entry,volume"
-_CSV_CHUNK = 1 << 15  # records parsed per chunk by `trace_read_csv`
+_CSV_CHUNK = 1 << 19  # characters read and parsed per block by `trace_read_csv`
+# every character `str.splitlines` breaks a line at
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _ceil_snap(x: float) -> int:
@@ -361,14 +363,27 @@ def generate_trace(
 
 
 def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
-    """Line-oriented CSV: step index, entry id, volume (shortest exact float)."""
+    """Line-oriented CSV: step index, entry id, volume (shortest exact float).
+
+    Each row reformats only the cells whose float bits changed since the
+    previous row, so ``-0.0`` and NaN keep their text; row 0 is compared
+    with its own complement, so all of its cells are formatted.
+    """
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
     try:
-        ids = trace.graph.entry_ids()
+        prefix = [f",{ident}," for ident in trace.graph.entry_ids()]
+        cells = [""] * len(prefix)
+        steps = trace.steps
+        bits = steps.view(np.uint64)
+        prev = ~bits[0] if len(bits) else None
         fh.write(_CSV_HEADER + "\n")
-        for s, row in enumerate(trace.steps):
-            fh.write("".join([f"{s},{ident},{v!r}\n" for ident, v in zip(ids, row.tolist())]))
+        for s, row in enumerate(bits):
+            changed = np.flatnonzero(row != prev).tolist()
+            for i, v in zip(changed, steps[s, changed].tolist()):
+                cells[i] = f"{prefix[i]}{v!r}\n"
+            fh.write(str(s).join(["", *cells]))
+            prev = row
     finally:
         if own:
             fh.close()
@@ -385,60 +400,100 @@ def _parse_record(line: str, col_of: dict[str, int]) -> tuple[int, int, float]:
     return step, col_of[ident], value
 
 
+def _csv_blocks(fh: IO[str]) -> Iterator[list[str]]:
+    """The lines ``fh.read().splitlines()`` would give, read and split a
+    block of `_CSV_CHUNK` characters at a time.
+
+    A block's unfinished last line moves on to the next block, and so
+    does a last line ended by ``\\r``, which may be half of ``\\r\\n``.
+    A block is at least as long as that carried line, so a line longer
+    than a block is copied a bounded number of times, not once a block.
+    """
+    carry = ""
+    while block := fh.read(max(_CSV_CHUNK, len(carry))):
+        text = carry + block
+        lines = text.splitlines()
+        tail = text[-1]
+        carry = ""
+        if tail == "\r" or tail not in _LINE_BREAKS:
+            carry = lines.pop() + ("\r" if tail == "\r" else "")
+        yield lines
+    yield carry.splitlines()
+
+
+def _raise_bad_line(lines: list[str], first_lineno: int, col_of: dict[str, int]) -> None:
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if line.strip():
+            try:
+                _parse_record(line, col_of)
+            except (ValueError, KeyError) as exc:
+                raise TraceError(f"line {lineno}: bad record {line!r}") from exc
+
+
 def trace_read_csv(
     source: str | Path | IO[str], graph: RegionGraph, step_bound: float
 ) -> SweepoutTrace:
     """Inverse of `trace_write_csv` for the given region graph.
 
     Blank lines are skipped.  Every (step, entry) cell of a dense table
-    must appear exactly once; a step index is a nonnegative integer and
-    a volume a finite float.
+    must appear exactly once, in any order; a step index is a nonnegative
+    integer and a volume a finite float.  The text is read and parsed a
+    block at a time, so besides the table only one block is held.
     """
+    col_of = {ident: i for i, ident in enumerate(graph.entry_ids())}
+    entries = len(col_of)
+    flats: list[np.ndarray] = []  # step * entries + column, per block
+    values: list[np.ndarray] = []
+    rows = 0
+    dense = True
+    lineno = 0  # lines before the current block
     own = isinstance(source, (str, Path))
     fh = open(source) if own else source
     try:
-        lines = fh.read().splitlines()
+        for lines in _csv_blocks(fh):
+            if lineno == 0 and lines:
+                if lines[0] != _CSV_HEADER:
+                    raise TraceError(f"missing '{_CSV_HEADER}' header")
+                del lines[0]
+                lineno = 1
+            records = list(filter(str.strip, lines))
+            if not records:
+                lineno += len(lines)
+                continue
+            n = len(records)
+            try:
+                # columns parsed at C level; a failure goes to the line
+                # loop, which names the block's first bad line
+                if set(map(str.count, records, repeat(","))) - {2}:
+                    raise ValueError("not three fields")
+                fields = ",".join(records).split(",")
+                step = np.fromiter(map(int, fields[0::3]), np.int64, n)
+                col = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp, n)
+                value = np.fromiter(map(float, fields[2::3]), np.float64, n)
+                del fields  # before the next block is read
+                if step.min() < 0 or not np.isfinite(value).all():
+                    raise ValueError("negative step or non-finite volume")
+            except (ValueError, KeyError, OverflowError):
+                _raise_bad_line(lines, lineno + 1, col_of)
+                # only a step index past int64 gets here; no such table is dense
+                dense = False
+            else:
+                rows = max(rows, int(step.max()) + 1)
+                step *= entries
+                step += col
+                flats.append(step)
+                values.append(value)
+            lineno += len(lines)
     finally:
         if own:
             fh.close()
-    if not lines or lines[0] != _CSV_HEADER:
+    if lineno == 0:
         raise TraceError(f"missing '{_CSV_HEADER}' header")
-    records = list(filter(str.strip, islice(lines, 1, None)))
-    col_of = {ident: i for i, ident in enumerate(graph.entry_ids())}
-    n = len(records)
-    step = np.empty(n, dtype=np.int64)
-    col = np.empty(n, dtype=np.intp)
-    value = np.empty(n)
-    try:
-        # columns parsed at C level, a chunk of records at a time; any
-        # failure goes to the line loop below, which names the bad line
-        if set(map(str.count, records, repeat(","))) - {2}:
-            raise ValueError("not three fields")
-        for start in range(0, n, _CSV_CHUNK):
-            fields = ",".join(records[start : start + _CSV_CHUNK]).split(",")
-            part = slice(start, start + len(fields) // 3)
-            step[part] = np.fromiter(map(int, fields[0::3]), np.int64)
-            col[part] = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp)
-            value[part] = np.fromiter(map(float, fields[2::3]), np.float64)
-        if n and (step.min() < 0 or not np.isfinite(value).all()):
-            raise ValueError("negative step or non-finite volume")
-    except (ValueError, KeyError, OverflowError):
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line.strip():
-                try:
-                    _parse_record(line, col_of)
-                except (ValueError, KeyError) as exc:
-                    raise TraceError(f"line {lineno}: bad record {line!r}") from exc
-        # only a step index past int64 gets here, and no such table is dense
-        raise TraceError("missing entries: trace table is not dense") from None
-    del lines, records
 
-    entries = len(col_of)
-    rows = int(step.max()) + 1 if n else 0
-    if n < rows * entries:
+    flat = np.concatenate([np.empty(0, np.int64), *flats])
+    n = flat.size
+    if not dense or n < rows * entries:
         raise TraceError("missing entries: trace table is not dense")
-    flat = np.multiply(step, entries, out=step)
-    flat += col
     seen = np.zeros(rows * entries, dtype=bool)
     seen[flat] = True
     if np.count_nonzero(seen) < n:
@@ -448,5 +503,5 @@ def trace_read_csv(
             f"entry {graph.entry_ids()[dup % entries]}"
         )
     steps = np.empty((rows, entries))
-    steps.reshape(-1)[flat] = value
+    steps.reshape(-1)[flat] = np.concatenate([np.empty(0), *values])
     return SweepoutTrace(graph=graph, steps=steps, step_bound=step_bound)

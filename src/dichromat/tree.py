@@ -130,7 +130,7 @@ class Coloring:
         return tuple(int(x) for x in self.bits)
 
     def black_nodes(self) -> list[int]:
-        return [int(i) + 1 for i in np.flatnonzero(self.bits)]
+        return (np.flatnonzero(self.bits) + 1).tolist()
 
 
 def coloring_from_bits(tree: TreeShape, bits: Sequence[int]) -> Coloring:

@@ -1,9 +1,11 @@
 """Shared helpers: independent brute-force routes the real code is tested
-against.  Nothing here may import from dichromat.dp or
-dichromat.sweepout."""
+against.  Nothing here may import from dichromat.dp, dichromat.sweepout
+or dichromat.cli."""
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -225,14 +227,79 @@ def max_matching_stack(tree, allowed) -> tuple[int, list[tuple[int, int]]]:
 
 def trace_csv_cells(trace) -> str:
     """The trace CSV written one cell at a time."""
-    n = trace.graph.tree.node_count
-    ids = [f"node:{i}" for i in range(1, n + 1)] + [f"tube:{c}" for c in range(2, n + 1)]
+    ids = _entry_ids(trace.graph.tree.node_count)
     out = ["step,entry,volume\n"]
     for s in range(trace.steps.shape[0]):
         row = trace.steps[s]
         for e, ident in enumerate(ids):
             out.append(f"{s},{ident},{row[e].item()!r}\n")
     return "".join(out)
+
+
+def _entry_ids(node_count: int) -> list[str]:
+    return [f"node:{i}" for i in range(1, node_count + 1)] + [
+        f"tube:{c}" for c in range(2, node_count + 1)
+    ]
+
+
+def read_csv_whole(text: str, node_count: int) -> np.ndarray:
+    """The trace table of a CSV text, from the whole text split into lines
+    and read one line at a time.  Raises ValueError with the message the
+    reader gives: the first bad line, else a missing cell, else the
+    duplicate with the lowest (step, entry)."""
+    ids = _entry_ids(node_count)
+    col_of = {ident: i for i, ident in enumerate(ids)}
+    lines = text.splitlines()
+    if not lines or lines[0] != "step,entry,volume":
+        raise ValueError("missing 'step,entry,volume' header")
+    cells: dict[tuple[int, int], list[float]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            step_text, ident, value_text = line.split(",")
+            step, col, value = int(step_text), col_of[ident], float(value_text)
+            if step < 0 or not math.isfinite(value):
+                raise ValueError(line)
+        except (ValueError, KeyError):
+            raise ValueError(f"line {lineno}: bad record {line!r}") from None
+        cells.setdefault((step, col), []).append(value)
+    rows = 1 + max((step for step, _ in cells), default=-1)
+    count = sum(map(len, cells.values()))
+    if count < rows * len(ids):
+        raise ValueError("missing entries: trace table is not dense")
+    dups = sorted(cell for cell, values in cells.items() if len(values) > 1)
+    if dups:
+        step, col = dups[0]
+        raise ValueError(f"duplicate record for step {step}, entry {ids[col]}")
+    table = np.empty((rows, len(ids)))
+    for (step, col), (value,) in cells.items():
+        table[step, col] = value
+    return table
+
+
+def json_dumps_indented(payload) -> str:
+    """CLI JSON by the plain route: normalize the whole payload (floats to
+    12 significant digits, Fractions to ints or "p/q", tuples to lists),
+    then ``json.dumps(sort_keys=True, indent=2)``, which runs json's
+    pure-Python encoder."""
+
+    def normal(value):
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, float):
+            return float(f"{value:.12g}")
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return int(value)
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, dict):
+            return {k: normal(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [normal(v) for v in value]
+        return value
+
+    return json.dumps(normal(payload), sort_keys=True, indent=2) + "\n"
 
 
 def random_coloring(tree, rng: np.random.Generator) -> Coloring:

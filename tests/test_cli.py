@@ -1,20 +1,30 @@
 """End-to-end CLI: frozen outputs, exit codes, schema conformance."""
 
+import contextlib
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from enum import IntEnum
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dichromat
 from dichromat import BoundReport
 from dichromat import bounds, cli, dp, metric, sweepout
+from conftest import json_dumps_indented
 
 SRC = str(Path(dichromat.__file__).resolve().parents[1])
+WIDE_PARAMS = str(Path(__file__).resolve().parents[1] / "perfbench" / "params" / "wide.params")
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +228,138 @@ def test_float_formatting_12_digits(capsys, schema):
                 walk(v)
 
     walk(doc)
+
+
+# sha256 of stdout and the exit code of one query per subcommand and of the
+# three large JSON shapes (sweepout pairs, profile rows, bset members).
+# Recorded with json.dumps(sort_keys=True, indent=2) still printing the
+# JSON; they pin the byte-stable output of every later formatter.
+GOLDEN = [
+    (("profile", "--kind", "node", "-m", "7"), 0,
+     "523850fe87b7d18f85a2aea384220bb0f1ec5688c2ab0cab8535fbe45e7f060b"),
+    (("profile", "--kind", "leaf", "-m", "14", "--format", "json"), 0,
+     "90c026a591435eea92a92ed9345705d4a97879e81741f226f78768b6365e4901"),
+    (("bset", "-m", "16", "-d", "9"), 0,
+     "a326321330e6e8f1e9efc736dc38ce9e5022fea39313bad3ce027749b77d9123"),
+    (("bset", "-m", "6", "-d", "5"), 0,
+     "f40d8ce2a4308d9366f33347d3ea8c08c2c38d915f9ef0c27a6c60f61efc491d"),
+    (("verify", "--which", "lemma22", "-m", "7"), 0,
+     "202619d27a382f3ae0d323f76f33a6131f284dff5483bb493e8ca7afc527e621"),
+    (("verify", "--which", "cor25", "-m", "9"), 0,
+     "5d417809242bf1d4e2af17cd08d11a2279ef716063c3f2e0b5b59aaf2e2b27c2"),
+    (("width-bound", "-m", "10", "--params", WIDE_PARAMS), 0,
+     "c5a4e8b1d26d6fe1ebb6f1eb999b1753b3e46751d60d13de526b9de57c75d2ce"),
+    (("iso-bound", "-m", "9"), 0,
+     "59566ca7e45a953a5a390f75c525b158fec57db37681c2e924a9524e92c0ca2c"),
+    (("sweepout", "-m", "14", "--strategy", "random-monotone", "--seed", "7",
+      "--params", WIDE_PARAMS), 0,
+     "40cc6797e863f5bd4bf93bc27c69c1a327775621ed1dcc36009b7027976c2e97"),
+    (("sweepout", "-m", "4", "--strategy", "dfs-fill"), 0,
+     "29c96e1df1d20120b951d88bbc0cb8fc7f904dc8bfced926dc76bcd68eb854f0"),
+    (("export-dot", "-m", "5", "--witness", "t=11"), 0,
+     "650470f7aed0a8017122afebe085c1e637092654986a6c9e81704fb195dbc6ac"),
+    (("bset", "-m", "23", "-d", "0"), 2, hashlib.sha256(b"").hexdigest()),
+    (("sweepout", "-m", "3", "--strategy", "uniform", "--delta", "0"), 1,
+     hashlib.sha256(b"").hexdigest()),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0][:3]) for g in GOLDEN])
+def test_stdout_golden(capsys, argv, code, digest):
+    got, out, err = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+
+
+def _emitted(payload):
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            cli._emit_json(payload)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+    return buf.getvalue()
+
+
+def _oracle(payload):
+    try:
+        return json_dumps_indented(payload)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+_SCALARS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, 1e-300,
+                     123456789.123456789, 2.5e16, np.float64(1 / 3), _Level.LOW]),
+    st.fractions(max_denominator=60),
+    st.integers(-50, 50).map(Fraction),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", 'say "hi"\n', "\u00fcn\u00efc\u00f8d\u00e9 \u2603", "\u2028", "\x00"]),
+)
+_INT = st.one_of(st.integers(-(10**12), 10**12), st.booleans(), st.just(_Level.LOW))
+_INT_LISTS = st.one_of(st.lists(st.integers()), st.lists(_INT, max_size=6).map(tuple))
+_INT_ROWS = st.integers(0, 3).flatmap(
+    lambda width: st.lists(
+        st.one_of(
+            st.lists(st.integers(-9, 10**6), min_size=width, max_size=width),
+            st.lists(_INT, min_size=width, max_size=width).map(tuple),
+        ),
+        max_size=6,
+    )
+)
+_RAGGED = st.lists(st.lists(st.integers(0, 99), max_size=3), max_size=5)
+_KEYS = st.one_of(st.text(max_size=5), st.sampled_from(["a", "b", 'q"', "\u00fc", ""]))
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _INT_LISTS, _INT_ROWS, _RAGGED),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+_UNSUPPORTED = st.sampled_from([object(), {1, 2}, 1j, np.int64(3), np.bool_(True), b"x", range(2)])
+_ODD_KEYS = st.one_of(
+    _KEYS, st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from([(1, 2), Fraction(1, 2), _Level.LOW]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(_KEYS, _VALUES, max_size=5))
+@example(payload={"z": -0.0, "a": math.nan, "i": math.inf, "j": -math.inf})
+@example(payload={"f": Fraction(4, 2), "g": Fraction(-1, 3), "h": 1 / 3, "n": None})
+@example(payload={"pairs": [[1, 2], [3, 4]], "tuples": [(1, 2), (3, 4)], "mixed": [[1, 2], (3, 4)]})
+@example(payload={"bools": [[1, True], [2, 3]], "flat": [1, True, 2], "enum": [_Level.LOW, 2]})
+@example(payload={"empty_rows": [[], []], "ragged": [[1], [2, 3]], "nested": [[[1]], [[2]]]})
+@example(payload={"e": [], "d": {}, "t": (), "s": 'say "hi" \u2603', "x": [1, "a", 2.5]})
+def test_emit_json_equals_dumps_oracle(payload):
+    assert _emitted(payload) == _oracle(payload)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    payload=st.dictionaries(
+        _ODD_KEYS,
+        st.one_of(_VALUES, _UNSUPPORTED, st.lists(st.one_of(_SCALARS, _UNSUPPORTED), max_size=3)),
+        max_size=4,
+    )
+)
+@example(payload={"a": np.int64(3)})
+@example(payload={"a": [1, 2, np.int64(3)]})
+@example(payload={"a": [[1, 2], [3, np.int64(4)]]})
+@example(payload={(1, 2): 0})
+@example(payload={1: "a", "b": 2})
+@example(payload={1.5: 0, None: 1, True: 2, 7: 3})
+def test_emit_json_odd_keys_and_type_errors_match_oracle(payload):
+    assert _emitted(payload) == _oracle(payload)
 
 
 def _count_leaf_profile_calls(monkeypatch) -> list[int]:

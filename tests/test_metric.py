@@ -16,7 +16,7 @@ from dichromat import (
     width_lower_bound,
 )
 from dichromat.metric import parse_param_value
-from conftest import random_rational_params
+from conftest import capacities_of, random_rational_params
 
 RAT = BlockParams(V0=Fraction(20), mu=Fraction(1), tau=Fraction(3, 2), alpha=Fraction(3))
 
@@ -87,6 +87,21 @@ class TestRegionGraph:
     def test_exactness_for_rational_inputs(self):
         g = region_graph(3, RAT)
         assert isinstance(g.total_volume, Fraction)
+
+    @pytest.mark.parametrize(
+        "params",
+        [RAT, BlockParams.default(), BlockParams(V0=20, mu=1, tau=Fraction(3, 2), alpha=3)],
+        ids=["fractions", "floats", "ints"],
+    )
+    def test_volumes_by_degree_equal_per_node(self, params):
+        for m in range(1, 15):
+            g = region_graph(m, params)
+            tree = g.tree
+            nodes = [params.V0 - tree.degree(i) * params.mu for i in range(1, tree.node_count + 1)]
+            assert list(map(type, g.node_volumes)) == list(map(type, nodes))
+            assert g.node_volumes == tuple(nodes)
+            assert g.edge_volumes == (params.tau,) * (tree.node_count - 1)
+            assert g.capacities.tobytes() == capacities_of(g).tobytes()
 
 
 class TestBalancedDecomposition:

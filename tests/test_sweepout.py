@@ -1,6 +1,7 @@
 import io
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from dichromat import (
 from dichromat import sweepout
 from dichromat.dp import _max_matching
 from dichromat.tree import EdgeSet, build_tree
-from conftest import max_matching_stack, trace_csv_cells, validate_trace_dense
+from conftest import (
+    max_matching_stack,
+    read_csv_whole,
+    trace_csv_cells,
+    validate_trace_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -424,12 +430,52 @@ def test_certificate_matching_equals_stack_oracle():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_csv_text_equals_cell_oracle(strategy, m, params):
     trace = generate_trace(strategy, m, params, seed=6)
     buf = io.StringIO()
     trace_write_csv(trace, buf)
     assert buf.getvalue() == trace_csv_cells(trace)
+
+
+def _written(steps, graph):
+    trace = SweepoutTrace(graph=graph, steps=steps, step_bound=1.0)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    return buf.getvalue(), trace_csv_cells(trace)
+
+
+def test_csv_hand_built_rows_equal_cell_oracle(params):
+    # rows: first, no change, sign of zero and one value, every entry
+    steps = np.array([
+        [0.0, -0.0, np.nan, 1.5, 1.5],
+        [0.0, -0.0, np.nan, 1.5, 1.5],
+        [-0.0, -0.0, np.nan, 2.0, 1.5],
+        [0.1, 0.0, -np.nan, np.inf, 1e-300],
+    ])
+    text, expect = _written(steps, region_graph(1, params))
+    assert text == expect
+    assert "2,node:1,-0.0\n" in text and "3,node:3,nan\n" in text
+    assert _written(steps[:0], region_graph(1, params)) == ("step,entry,volume\n",) * 2
+
+
+_CELL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1.5, 1e-300, 2.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_random_rows_equal_cell_oracle(data, params):
+    # each row changes a drawn set of entries (none, some or all) to drawn values
+    graph = region_graph(2, params)
+    rows = data.draw(st.integers(0, 8))
+    steps = np.empty((rows, graph.entry_count))
+    row = np.zeros(graph.entry_count)
+    for r in range(rows):
+        for e in data.draw(st.sets(st.integers(0, graph.entry_count - 1))):
+            row[e] = data.draw(st.sampled_from(_CELL_VALUES))
+        steps[r] = row
+    text, expect = _written(steps, graph)
+    assert text == expect
 
 
 def _csv_lines(trace):
@@ -440,6 +486,117 @@ def _csv_lines(trace):
 
 def _read_lines(lines, trace):
     return trace_read_csv(io.StringIO("\n".join(lines) + "\n"), trace.graph, trace.step_bound)
+
+
+def _mutated(lines, kind, i):
+    """``lines`` with one line-level change at line ``i``."""
+    lines = list(lines)
+    step, _, rest = lines[i].partition(",")
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[-1] = lines[-1], lines[i]
+    elif kind == "blank":
+        lines.insert(i, "")
+    elif kind == "spaces":
+        lines.insert(i, " \t ")
+    elif kind == "two_fields":
+        lines[i] = lines[i].rpartition(",")[0]
+    elif kind == "four_fields":
+        lines[i] += ",0"
+    elif kind in ("negative_step", "bad_step", "huge_step", "spaced_step"):
+        new = {"negative_step": "-1", "bad_step": "x", "huge_step": "9" * 20,
+               "spaced_step": f" {step} "}[kind]
+        lines[i] = f"{new},{rest}"
+    elif kind == "extra_huge_step":
+        lines.insert(i, f"{'9' * 20},{rest}")
+    elif kind == "bad_entry":
+        lines[i] = f"{step},node:0,1.0"
+    elif kind in ("nan", "inf", "bad_volume"):
+        lines[i] = lines[i].rpartition(",")[0] + "," + {"bad_volume": "1.0.0"}.get(kind, kind)
+    elif kind in ("\x0c", "\x1c", "\x85", "\u2028"):
+        lines[i] = lines[i][:3] + kind + lines[i][3:]  # a line break inside a record
+    return lines
+
+
+_LINE_MUTATIONS = (
+    "drop", "duplicate", "swap", "blank", "spaces", "two_fields", "four_fields",
+    "negative_step", "bad_step", "huge_step", "extra_huge_step", "spaced_step",
+    "bad_entry", "nan", "inf", "bad_volume", "\x0c", "\x1c", "\x85", "\u2028",
+)
+
+
+def _read_outcome(read, *args):
+    try:
+        return "ok", read(*args)
+    except (TraceError, ValueError) as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_csv_reader_matches_whole_text_oracle(data, params):
+    # line-level mutations, three line endings and blocks down to one
+    # character, so lines and "\r\n" pairs straddle block edges
+    strategy = data.draw(st.sampled_from(STRATEGIES))
+    trace = generate_trace(strategy, data.draw(st.integers(1, 2)), params, seed=2)
+    lines = _csv_lines(trace)
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(_LINE_MUTATIONS))
+        lines = _mutated(lines, kind, data.draw(st.integers(1, len(lines) - 1)))
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
+    block = data.draw(st.sampled_from([1, 2, 3, 17, 256, sweepout._CSV_CHUNK]))
+    expect = _read_outcome(read_csv_whole, text, trace.graph.tree.node_count)
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block):
+        got = _read_outcome(trace_read_csv, io.StringIO(text), trace.graph, trace.step_bound)
+    if got[0] == "ok":
+        got = "ok", got[1].steps
+    assert got[0] == expect[0], (got, expect)
+    if got[0] == "ok":
+        assert got[1].tobytes() == expect[1].tobytes()
+    else:
+        assert got[1] == expect[1]
+
+
+@pytest.mark.parametrize("block", [17, sweepout._CSV_CHUNK])
+def test_csv_step_past_int64_is_not_dense(block, params):
+    # a dense table plus one record whose step does not fit in int64
+    trace = generate_trace("dfs-fill", 1, params)
+    lines = _csv_lines(trace)
+    lines.append("9" * 20 + ",node:1,0.0")
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block):
+        with pytest.raises(TraceError, match="^missing entries: trace table is not dense$"):
+            _read_lines(lines, trace)
+
+
+@pytest.mark.parametrize("header", ["", "\n", "step,entry\n", " step,entry,volume\n"])
+def test_csv_bad_header_matches_oracle(header, params):
+    graph = region_graph(1, params)
+    text = header + "0,node:1,0.0\n"
+    with pytest.raises(TraceError) as err:
+        trace_read_csv(io.StringIO(text), graph, 1.0)
+    with pytest.raises(ValueError) as expect:
+        read_csv_whole(text, graph.tree.node_count)
+    assert str(err.value) == str(expect.value) == "missing 'step,entry,volume' header"
+
+
+def test_csv_read_memory_is_bounded(params):
+    # the whole text held as one str and one str per line peaked at 33 MiB
+    trace = generate_trace("dfs-fill", 5, params)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    source = io.StringIO(buf.getvalue())  # holds its text before tracing starts
+    tracemalloc.start()
+    try:
+        back = trace_read_csv(source, trace.graph, trace.step_bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.steps, trace.steps)
+    assert peak < 16 * 2**20, peak
 
 
 def test_csv_negative_step_rejected(params):

@@ -80,6 +80,7 @@ def test_coloring_constructors_agree():
     b = coloring_from_black_set(t, {1, 3, 6, 7})
     assert a.as_tuple() == b.as_tuple()
     assert a.black_nodes() == [1, 3, 6, 7]
+    assert {type(i) for i in a.black_nodes()} == {int}
     assert a.color(1) == BLACK and a.color(2) == WHITE
 
 
