@@ -215,9 +215,11 @@ def _cmd_profile(args: argparse.Namespace, cap: int | None) -> int:
     )
     if args.format == "csv":
         label = "b" if args.kind == "node" else "t"
-        lines = [f"{label},min_d"]
-        lines += [f"{i},{v}" for i, v in profile.items()]
-        sys.stdout.write("\n".join(lines) + "\n")
+        flat = [0] * (2 * len(profile.index_range))
+        flat[0::2] = profile.index_range
+        flat[1::2] = profile.min_d.tolist()
+        body = "\n".join(["%d,%d"] * len(profile.index_range)) % tuple(flat)
+        sys.stdout.write(f"{label},min_d\n{body}\n")
     else:
         _emit_json(
             {

@@ -19,10 +19,12 @@ Both programs merge two children with one primitive, the support of the
 (dichromatic count, black count) tables, the profile program on
 (attach cost, count) indicators, where the lowest cost row hit at a count
 is the min-plus value there.  Both tables are wide, so a real FFT runs
-along the columns, zero padded to the next power of two, and each output
-row is summed directly, over each unordered pair of input rows once;
-before it is cropped and thresholded, every row must lie within 0.25 of
-an integer vector, or `DichromatError` is raised.
+along the columns, zero padded to the next 2**a * 3**b * 5**c, and the
+output rows come out one at a time, in order, each summed over each
+unordered pair of input rows once.  Before it is cropped and thresholded,
+every row must lie within 0.25 of an integer vector, or `DichromatError`
+is raised.  Each caller stops at the last row it reads: the min-plus
+step once every count has a value, the achievable-set step at ``max_d``.
 
 The achievable-set table F[d, b] stops at a depth ``max_d``: merging
 only adds dichromatic edges, so rows past ``max_d`` never feed rows at
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -113,19 +116,34 @@ def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) ->
         raise CapacityError(f"{what} is capped at m={effective}, got m={m}")
 
 
-def _self_convolve_support(x: np.ndarray, out_rows: int | None = None) -> np.ndarray:
-    """Support of the 2-D self-convolution of a 0/1 array: an (r, c)
-    input gives a (2r-1, 2c-1) boolean output, or its first ``out_rows``
-    rows.  The loop runs over output rows, so wide inputs are cheap."""
+def _fft_length(width: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= ``width``: a length the real FFT
+    runs at close to power-of-two speed, with far less padding."""
+    best = 1 << (width - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power-of-two multiple of odd that covers width
+            best = min(best, odd << (-(-width // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _self_convolve_rows(x: np.ndarray) -> Iterator[np.ndarray]:
+    """Rows of the support of the 2-D self-convolution of a 0/1 array, in
+    order: an (r, c) input gives 2r-1 boolean rows of 2c-1 columns.  Each
+    row is computed when asked for, so a caller that has what it needs
+    stops paying; the loop runs over output rows, so wide inputs are
+    cheap."""
     rows, cols = x.shape
-    out_rows = 2 * rows - 1 if out_rows is None else min(out_rows, 2 * rows - 1)
     width = 2 * cols - 1
-    n = 1 << (width - 1).bit_length()
+    n = _fft_length(width)
     spectra = np.fft.rfft(x, n=n, axis=1)
     acc = np.empty(n // 2 + 1, dtype=complex)
     frac = np.empty(n)
-    out = np.empty((out_rows, width), dtype=bool)
-    for r in range(out_rows):
+    for r in range(2 * rows - 1):
         # rows i and r - i pair up both ways; every term is nonnegative,
         # so the pairs with i < r - i and the square of row r/2 give the
         # same support at half the products
@@ -141,8 +159,7 @@ def _self_convolve_support(x: np.ndarray, out_rows: int | None = None) -> np.nda
             raise DichromatError(
                 f"internal error: FFT rounding residual {residual:.3g} >= 0.25"
             )
-        np.greater(row[:width], 0.5, out=out[r])
-    return out
+        yield row[:width] > 0.5
 
 
 def _minplus_self(e: np.ndarray) -> np.ndarray:
@@ -153,9 +170,16 @@ def _minplus_self(e: np.ndarray) -> np.ndarray:
     values = (e[finite] - low).astype(np.intp)
     indicator = np.zeros((int(values.max()) + 1, e.size), dtype=bool)
     indicator[values, finite] = True
-    hits = _self_convolve_support(indicator)
-    reached = hits.any(axis=0)
-    return np.where(reached, hits.argmax(axis=0) + 2 * low, np.inf)
+    out = np.full(2 * e.size - 1, np.inf)
+    missing = np.ones(out.size, dtype=bool)
+    # the lowest cost row that hits a column is the value there
+    for cost, hit in enumerate(_self_convolve_rows(indicator)):
+        hit &= missing
+        out[hit] = cost + 2 * low
+        missing ^= hit
+        if not missing.any():
+            break
+    return out
 
 
 def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
@@ -315,9 +339,10 @@ def _feasible_pairs(m: int, max_d: int) -> np.ndarray:
         ext = np.zeros((min(rows + 1, keep), cols), dtype=bool)
         ext[:rows] = white[: len(ext)]
         ext[1:] |= white[: len(ext) - 1, ::-1]
-        conv = _self_convolve_support(ext, keep)
         white = np.zeros((keep, 2 * cols), dtype=bool)
-        white[:, :-1] = conv  # a white root adds no black node
+        # a white root adds no black node
+        for d, hit in zip(range(keep), _self_convolve_rows(ext)):
+            white[d, :-1] = hit
     table = white | white[:, ::-1]
     table.flags.writeable = False
     return table

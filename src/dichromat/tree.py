@@ -13,6 +13,7 @@ endpoints carry different colors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -160,12 +161,16 @@ class EdgeSet:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", tuple(sorted((int(p), int(c)) for p, c in self.edges))
-        )
-        for p, c in self.edges:
-            if p != c // 2:
-                raise InvalidParameterError(f"({p}, {c}) is not a heap edge")
+        flat = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges))
+        parent, child = flat[0::2], flat[1::2]
+        bad = parent != child // 2
+        if bad.any():
+            p, c = min(zip(parent[bad].tolist(), child[bad].tolist()))
+            raise InvalidParameterError(f"({p}, {c}) is not a heap edge")
+        if (child[1:] < child[:-1]).any():
+            order = np.argsort(child, kind="stable")
+            parent, child = parent[order], child[order]
+        object.__setattr__(self, "edges", tuple(zip(parent.tolist(), child.tolist())))
 
     def __len__(self) -> int:
         return len(self.edges)

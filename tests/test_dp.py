@@ -1,6 +1,8 @@
 """The dynamic programs against the brute-force oracle, plus their own
 structural guarantees (witness validity, capacity limits, matching)."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -231,18 +233,75 @@ def test_node_profile_equals_first_feasible_depth(m):
 @example(np.ones((2, 9), dtype=bool), 2)
 def test_self_convolve_support_equals_bigint(x, out_rows):
     want = convolve2d_bigint(x.astype(np.uint64), x.astype(np.uint64)) > 0
-    np.testing.assert_array_equal(dp._self_convolve_support(x, out_rows), want[:out_rows])
+    got = np.array(list(islice(dp._self_convolve_rows(x), out_rows)))
+    np.testing.assert_array_equal(got, want[:out_rows])
 
 
-@settings(max_examples=200)
+def _smooth_lengths(limit):
+    """Every 2**a * 3**b * 5**c up to ``limit``, by brute force."""
+    return [n for n in range(1, limit + 1) if _strip(_strip(_strip(n, 2), 3), 5) == 1]
+
+
+def _strip(n, p):
+    while n % p == 0:
+        n //= p
+    return n
+
+
+def test_fft_length_is_least_5_smooth_cover():
+    smooth = np.array(_smooth_lengths(10_000))
+    for width in range(1, 5001):
+        assert dp._fft_length(width) == smooth[np.searchsorted(smooth, width)], width
+
+
+def _seeded_row(k, seed, inf_share, top):
+    """A vector of 2**k + 1 entries in 0..top, an ``inf_share`` of them inf:
+    the length of a leaf-profile row, whose FFT length is no power of two."""
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, top + 1, size=2**k + 1).astype(float)
+    e[rng.random(e.size) < inf_share] = np.inf
+    return e
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.one_of(st.integers(0, 8), st.just(np.inf)), min_size=1, max_size=40)
-    .filter(lambda xs: any(x != np.inf for x in xs)),
+    st.one_of(
+        st.lists(st.one_of(st.integers(0, 8), st.just(np.inf)), min_size=1, max_size=40),
+        st.builds(
+            _seeded_row,
+            st.integers(0, 10),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0.0, 0.3, 0.9]),
+            st.integers(0, 40),
+        ),
+    ).filter(lambda xs: np.isfinite(xs).any()),
     st.integers(0, 20),
 )
+@example(_seeded_row(10, 0, 0.0, 40), 3)  # 1025 entries, all finite
+@example(_seeded_row(10, 1, 0.9, 8), 0)  # 1025 entries, some columns never hit
 def test_minplus_equals_loop_oracle(values, offset):
     e = np.asarray(values, dtype=float) + offset
     np.testing.assert_array_equal(dp._minplus_self(e), minplus_self_loop(e))
+
+
+def test_minplus_stops_at_first_covering_row(monkeypatch):
+    # the top level of leaf_profile(14): the root row is reached long
+    # before the last of the 2 * rows - 1 output rows
+    seed = leaf_profile(14).witness_seed
+    child = seed[1]
+    e = np.minimum(child, child[::-1] + 1)
+    rows = int(e.max() - e.min()) + 1
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    got = dp._minplus_self(e)
+    np.testing.assert_array_equal(got, seed[0])
+    assert len(calls) == int(got.max() - 2 * e.min()) + 1 < 2 * rows - 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

@@ -124,6 +124,17 @@ def test_edge_set_validates_pairs():
         EdgeSet(((2, 4), (1, 4)))  # 1 is not 4's parent
 
 
+def test_edge_set_sorts_by_child_into_python_ints():
+    pairs = [(c // 2, c) for c in (9, 2, 15, 4, 3)]
+    edges = EdgeSet(tuple((np.int64(p), np.int64(c)) for p, c in pairs)).edges
+    assert edges == ((1, 2), (1, 3), (2, 4), (4, 9), (7, 15))
+    assert {type(x) for pair in edges for x in pair} == {int}
+    assert EdgeSet(()).edges == ()
+    # the first non-heap pair in sorted order is the one named
+    with pytest.raises(InvalidParameterError, match=r"\(2, 9\)"):
+        EdgeSet(((3, 11), (1, 2), (2, 9), (1, 3)))
+
+
 def test_single_black_leaf_counts():
     t = build_tree(3)
     c = coloring_from_black_set(t, {15})
