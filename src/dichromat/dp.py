@@ -56,11 +56,11 @@ from .tree import (
     WHITE,
     Coloring,
     EdgeSet,
-    TreeShape,
     build_tree,
     black_counts,
     coloring_from_bits,
     count_dichromatic,
+    max_matching,
 )
 
 DEFAULT_PROFILE_CAP = 14
@@ -377,53 +377,8 @@ def achievable_set(m: int, d: int, cap: int | None = None) -> AchievableSet:
 
 
 # ---------------------------------------------------------------------------
-# maximum vertex-disjoint dichromatic pairs
-
-
-def _max_matching(tree: TreeShape, allowed: EdgeSet) -> tuple[int, EdgeSet]:
-    """Maximum matching using only ``allowed`` edges, by tree DP.
-
-    f0/f1 are the matching sizes with the node unmatched/matched inside
-    its subtree; levels are processed bottom-up with vectorized child
-    slices, and the matching is rebuilt top-down one level at a time.
-    Reconstruction prefers the unmatched state on ties and the left
-    child on equal gains, so results are stable run to run.
-    """
-    n = tree.node_count
-    f0 = np.zeros(n + 1)
-    f1 = np.full(n + 1, -np.inf)
-    allowed_mask = np.zeros(n + 1, dtype=bool)
-    allowed_mask[[child for _, child in allowed]] = True
-
-    for depth in range(tree.m - 1, -1, -1):
-        v = np.arange(2 ** depth, 2 ** (depth + 1))
-        left, right = 2 * v, 2 * v + 1
-        best_l = np.maximum(f0[left], f1[left])
-        best_r = np.maximum(f0[right], f1[right])
-        f0[v] = best_l + best_r
-        gain_l = np.where(allowed_mask[left], 1 + f0[left] - best_l, -np.inf)
-        gain_r = np.where(allowed_mask[right], 1 + f0[right] - best_r, -np.inf)
-        f1[v] = f0[v] + np.maximum(gain_l, gain_r)
-
-    best = np.maximum(f0, f1)
-    available = np.zeros(n + 1, dtype=bool)
-    available[1] = True
-    chosen: list[np.ndarray] = []
-    for depth in range(tree.m):
-        v = np.arange(2 ** depth, 2 ** (depth + 1))
-        match = available[v] & (f1[v] > f0[v])
-        base = best[2 * v] + best[2 * v + 1]
-        taken = np.zeros(v.size, dtype=bool)
-        for u in (2 * v, 2 * v + 1):
-            take = match & ~taken & allowed_mask[u] & (base + 1 + f0[u] - best[u] == f1[v])
-            available[u] = ~take
-            taken |= take
-            chosen.append(u[take])
-        if (match & ~taken).any():
-            raise DichromatError("matching reconstruction found no child to match")
-
-    children = np.concatenate(chosen).tolist()
-    return len(children), EdgeSet(tuple((c // 2, c) for c in children))
+# maximum vertex-disjoint dichromatic pairs: the leaf-up greedy of
+# `tree.max_matching` on the dichromatic edges
 
 
 def max_disjoint_pairs(coloring: Coloring) -> tuple[int, EdgeSet]:
@@ -434,4 +389,5 @@ def max_disjoint_pairs(coloring: Coloring) -> tuple[int, EdgeSet]:
     matching keeps one edge in five.
     """
     _, dichromatic = count_dichromatic(coloring)
-    return _max_matching(coloring.tree, dichromatic)
+    pairs = max_matching(coloring.tree, dichromatic)
+    return len(pairs), pairs

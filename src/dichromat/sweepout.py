@@ -24,7 +24,6 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .bounds import a_of_m
-from .dp import _max_matching
 from .errors import (
     AdmissibilityError,
     CapacityError,
@@ -32,7 +31,15 @@ from .errors import (
     TraceError,
 )
 from .metric import BlockParams, Number, RegionGraph, region_graph
-from .tree import BLACK, WHITE, Coloring, EdgeSet, coloring_from_bits, dichromatic_children
+from .tree import (
+    BLACK,
+    WHITE,
+    Coloring,
+    EdgeSet,
+    coloring_from_bits,
+    dichromatic_children,
+    max_matching,
+)
 
 STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 
@@ -64,11 +71,13 @@ class SweepoutTrace:
     step_bound: float
 
     def __post_init__(self) -> None:
+        if not 0 < self.step_bound < math.inf:
+            raise InvalidParameterError(
+                f"step_bound must be finite and positive, got {self.step_bound}"
+            )
         arr = np.asarray(self.steps, dtype=np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "steps", arr)
-        if self.step_bound <= 0:
-            raise InvalidParameterError("step_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -245,8 +254,8 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
     total = sum(graph.capacities[c] for c in cols)
     keep = (alpha <= occupied) & (occupied <= total - alpha)
 
-    verified = EdgeSet(tuple(zip(parent[keep].tolist(), child[keep].tolist())))
-    count, _ = _max_matching(graph.tree, verified)
+    verified = EdgeSet(child[keep])
+    count = len(max_matching(graph.tree, verified))
     return SliceCertificate(
         t0=t0,
         coloring=coloring,
@@ -310,12 +319,17 @@ def generate_trace(
             f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
         )
     graph = region_graph(m, params)
-    caps = graph.capacities
     if delta is None:
         delta = float(params.alpha) / 4
     delta = float(delta)
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InvalidParameterError(f"delta must be finite and positive, got {delta}")
+    if 2 * graph.entry_count * 8 > TRACE_BYTES_CAP:  # before the capacities exist
+        raise CapacityError(
+            f"any trace at m={m} has at least 2 x {graph.entry_count} entries, above the "
+            f"{TRACE_BYTES_CAP // 2**20} MiB trace cap; use a smaller m"
+        )
+    caps = graph.capacities
 
     if strategy == "uniform":
         rows = _ceil_snap(float(caps.sum()) / delta) + 1

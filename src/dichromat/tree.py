@@ -8,12 +8,15 @@ every other internal node degree 3, every leaf degree 1.
 
 Colors are bits: 1 is black, 0 is white.  An edge is dichromatic when its
 endpoints carry different colors.
+
+An edge is named by its child end ``c``: its parent is always ``c // 2``,
+so an `EdgeSet` is one ascending array of child ends.  `max_matching`
+picks the most vertex-disjoint edges out of such a set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -154,32 +157,35 @@ def all_black(tree: TreeShape) -> Coloring:
     return Coloring(tree, np.ones(tree.node_count, dtype=np.uint8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSet:
-    """A set of tree edges as (parent, child) pairs, sorted by child."""
+    """A set of tree edges named by their child ends, ascending.
 
-    edges: tuple[tuple[int, int], ...]
+    Iterating yields ``(parent, child)`` pairs of Python ints.
+    """
+
+    children: np.ndarray
 
     def __post_init__(self) -> None:
-        flat = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges))
-        parent, child = flat[0::2], flat[1::2]
-        bad = parent != child // 2
-        if bad.any():
-            p, c = min(zip(parent[bad].tolist(), child[bad].tolist()))
-            raise InvalidParameterError(f"({p}, {c}) is not a heap edge")
-        if (child[1:] < child[:-1]).any():
-            order = np.argsort(child, kind="stable")
-            parent, child = parent[order], child[order]
-        object.__setattr__(self, "edges", tuple(zip(parent.tolist(), child.tolist())))
+        arr = np.asarray(self.children, dtype=np.int64)
+        if arr.ndim != 1:
+            raise InvalidParameterError(f"expected a 1-D child array, got shape {arr.shape}")
+        arr = np.sort(arr)
+        if arr.size and arr[0] < 2:
+            raise InvalidParameterError(f"node {arr[0]} is no edge's child end")
+        arr.flags.writeable = False
+        object.__setattr__(self, "children", arr)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return self.children.size
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.edges)
+        return ((c // 2, c) for c in self.children.tolist())
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
-        return tuple(edge) in self.edges
+        parent, child = edge
+        i = int(np.searchsorted(self.children, child))
+        return bool(parent == child // 2 and i < len(self) and self.children[i] == child)
 
 
 def dichromatic_children(coloring: Coloring) -> np.ndarray:
@@ -191,8 +197,28 @@ def dichromatic_children(coloring: Coloring) -> np.ndarray:
 
 def count_dichromatic(coloring: Coloring) -> tuple[int, EdgeSet]:
     """Count dichromatic edges and return them ordered by child index."""
-    hit = dichromatic_children(coloring).tolist()
-    return len(hit), EdgeSet(tuple((c // 2, c) for c in hit))
+    edges = EdgeSet(dichromatic_children(coloring))
+    return len(edges), edges
+
+
+def max_matching(tree: TreeShape, allowed: EdgeSet) -> EdgeSet:
+    """A maximum set of vertex-disjoint edges among ``allowed``.
+
+    Greedy from the deepest level up: a free node whose children are all
+    settled loses nothing by taking the edge to its parent, so the result
+    is maximum.  Within a level the left children go first.
+    """
+    ok = np.zeros(tree.node_count + 1, dtype=bool)
+    ok[allowed.children] = True
+    free = np.ones(tree.node_count + 1, dtype=bool)
+    chosen = []
+    for depth in range(tree.m, 0, -1):
+        for first in (2**depth, 2**depth + 1):
+            child = np.arange(first, 2 ** (depth + 1), 2)
+            child = child[ok[child] & free[child] & free[child // 2]]
+            free[child] = free[child // 2] = False
+            chosen.append(child)
+    return EdgeSet(np.concatenate(chosen))
 
 
 def black_counts(coloring: Coloring) -> tuple[int, int]:

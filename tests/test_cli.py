@@ -268,6 +268,10 @@ GOLDEN = [
     (("bset", "-m", "23", "-d", "0"), 2, hashlib.sha256(b"").hexdigest()),
     (("sweepout", "-m", "3", "--strategy", "uniform", "--delta", "0"), 1,
      hashlib.sha256(b"").hexdigest()),
+    (("sweepout", "-m", "2", "--strategy", "uniform", "--delta", "nan"), 1,
+     hashlib.sha256(b"").hexdigest()),
+    (("sweepout", "-m", "2", "--strategy", "uniform", "--delta", "inf"), 1,
+     hashlib.sha256(b"").hexdigest()),
 ]
 
 

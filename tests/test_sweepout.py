@@ -5,12 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dichromat import (
     AdmissibilityError,
     BlockParams,
     CapacityError,
+    InvalidParameterError,
     STRATEGIES,
     SweepoutTrace,
     TraceError,
@@ -28,8 +29,7 @@ from dichromat import (
     width_lower_bound,
 )
 from dichromat import sweepout
-from dichromat.dp import _max_matching
-from dichromat.tree import EdgeSet, build_tree
+from dichromat.tree import EdgeSet, build_tree, max_matching
 from conftest import (
     max_matching_stack,
     read_csv_whole,
@@ -80,6 +80,33 @@ def test_generate_refuses_oversized_table(strategy, params):
     # the row count is worked out before anything is allocated
     with pytest.raises(CapacityError, match="trace cap"):
         generate_trace(strategy, 2, params, delta=1e-9)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_generate_refuses_two_row_overflow_before_capacities(strategy, params):
+    # even the two rows every trace has exceed the cap at m = 24
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="trace cap"):
+            generate_trace(strategy, 24, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0])
+def test_non_finite_or_nonpositive_step_bound_rejected(bound, params):
+    trace = generate_trace("uniform", 2, params)
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        generate_trace("uniform", 2, params, delta=bound)
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        SweepoutTrace(graph=trace.graph, steps=trace.steps, step_bound=bound)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    buf.seek(0)
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        trace_read_csv(buf, trace.graph, bound)
 
 
 def test_validate_two_step_jump(params):
@@ -402,27 +429,31 @@ def test_validate_memory_is_not_table_sized(params):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_max_matching_equals_stack_oracle(data):
-    m = data.draw(st.integers(1, 7))
+@given(
+    m=st.integers(1, 7),
+    density=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=12, density=0.5, seed=12)
+@example(m=12, density=1.0, seed=0)
+def test_max_matching_equals_stack_oracle(m, density, seed):
     tree = build_tree(m)
-    density = data.draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
-    seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    children = np.flatnonzero(rng.random(tree.node_count - 1) < density) + 2
-    allowed = EdgeSet(tuple((int(c) // 2, int(c)) for c in children))
-    count, edges = _max_matching(tree, allowed)
+    allowed = EdgeSet(np.flatnonzero(rng.random(tree.node_count - 1) < density) + 2)
+    edges = max_matching(tree, allowed)
     expect_count, expect_edges = max_matching_stack(tree, allowed)
-    assert count == expect_count
+    assert len(edges) == expect_count
     assert list(edges) == expect_edges
 
 
 def test_certificate_matching_equals_stack_oracle():
     trace = generate_trace("random-monotone", 9, BlockParams.default(), seed=4)
     cert = certify(trace)
-    count, edges = _max_matching(trace.graph.tree, cert.sandwich_regions)
-    assert (count, list(edges)) == max_matching_stack(trace.graph.tree, cert.sandwich_regions)
-    assert cert.disjoint_count == count > 0
+    edges = max_matching(trace.graph.tree, cert.sandwich_regions)
+    assert (len(edges), list(edges)) == max_matching_stack(
+        trace.graph.tree, cert.sandwich_regions
+    )
+    assert cert.disjoint_count == len(edges) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -119,20 +119,18 @@ def test_count_dichromatic_known_case():
     assert (1, 3) in edges and (1, 2) not in edges
 
 
-def test_edge_set_validates_pairs():
-    with pytest.raises(InvalidParameterError):
-        EdgeSet(((2, 4), (1, 4)))  # 1 is not 4's parent
-
-
 def test_edge_set_sorts_by_child_into_python_ints():
-    pairs = [(c // 2, c) for c in (9, 2, 15, 4, 3)]
-    edges = EdgeSet(tuple((np.int64(p), np.int64(c)) for p, c in pairs)).edges
-    assert edges == ((1, 2), (1, 3), (2, 4), (4, 9), (7, 15))
+    edges = EdgeSet(np.array([9, 2, 15, 4, 3]))
+    assert edges.children.tolist() == [2, 3, 4, 9, 15]
+    assert not edges.children.flags.writeable
+    assert list(edges) == [(1, 2), (1, 3), (2, 4), (4, 9), (7, 15)]
     assert {type(x) for pair in edges for x in pair} == {int}
-    assert EdgeSet(()).edges == ()
-    # the first non-heap pair in sorted order is the one named
-    with pytest.raises(InvalidParameterError, match=r"\(2, 9\)"):
-        EdgeSet(((3, 11), (1, 2), (2, 9), (1, 3)))
+    assert len(edges) == 5 and list(EdgeSet([])) == []
+    assert (4, 9) in edges and (np.int64(7), np.int64(15)) in edges
+    assert (3, 9) not in edges and (2, 5) not in edges and (7, 16) not in edges
+    for bad in ([3, 1], [0]):
+        with pytest.raises(InvalidParameterError, match="child end"):
+            EdgeSet(bad)
 
 
 def test_single_black_leaf_counts():
