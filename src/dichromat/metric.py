@@ -104,47 +104,44 @@ class BlockParams:
 
 @dataclass(frozen=True)
 class RegionGraph:
-    """Per-node region volumes and per-edge tube volumes of one tree.
+    """Region and tube volumes of one tree, as four capacity classes.
 
-    Node volumes are heap-ordered (``node_volumes[i-1]`` is node ``i``);
-    edge volumes are ordered by child index (``edge_volumes[c-2]`` is the
-    tube on the edge into node ``c``).  Sweepout traces use the same order
-    as their column layout: ``[regions 1..n, tubes into 2..n]``.  A region
-    holds V0 minus mu per incident edge, so there are three region
-    volumes, by degree: the root (2), internal nodes (3) and leaves (1).
-    Each is computed once and repeated.
+    A region holds V0 minus mu per incident edge, so its volume depends
+    only on its degree: the root (2), internal nodes (3) and leaves (1).
+    Every tube holds tau.  `volume_classes` lists these four (volume,
+    count) pairs in column order; every other figure is derived from
+    them.  Sweepout traces use the column layout ``[regions 1..n, tubes
+    into 2..n]``: nodes heap-ordered, tubes by child index, so each
+    class fills one contiguous index range.
     """
 
     tree: TreeShape
     params: BlockParams
 
     @cached_property
-    def _degree_volumes(self) -> tuple[Number, Number, Number]:
-        """Root, internal and leaf region volumes."""
-        return tuple(self.params.V0 - deg * self.params.mu for deg in (2, 3, 1))
-
-    @cached_property
-    def node_volumes(self) -> tuple[Number, ...]:
-        root, internal, leaf = self._degree_volumes
-        tree = self.tree
-        return (root,) + (internal,) * (tree.first_leaf - 2) + (leaf,) * tree.leaf_count
-
-    @cached_property
-    def edge_volumes(self) -> tuple[Number, ...]:
-        return (self.params.tau,) * (self.tree.node_count - 1)
+    def volume_classes(self) -> tuple[tuple[Number, int], ...]:
+        """(volume, count) of the root, internal, leaf and tube classes."""
+        p, tree = self.params, self.tree
+        return (
+            (p.V0 - 2 * p.mu, 1),
+            (p.V0 - 3 * p.mu, tree.first_leaf - 2),
+            (p.V0 - p.mu, tree.leaf_count),
+            (p.tau, tree.node_count - 1),
+        )
 
     @property
     def total_volume(self) -> Number:
-        return sum(self.node_volumes) + sum(self.edge_volumes)
+        return sum(count * volume for volume, count in self.volume_classes)
 
     def node_volume(self, node: int) -> Number:
         self.tree._check_node(node)
-        return self.node_volumes[node - 1]
+        kind = 0 if node == 1 else 1 if node < self.tree.first_leaf else 2
+        return self.volume_classes[kind][0]
 
     def edge_volume(self, child: int) -> Number:
         if not 2 <= child <= self.tree.node_count:
             raise InvalidParameterError(f"no edge into node {child}")
-        return self.edge_volumes[child - 2]
+        return self.volume_classes[3][0]
 
     @property
     def entry_count(self) -> int:
@@ -169,10 +166,8 @@ class RegionGraph:
     @cached_property
     def capacities(self) -> np.ndarray:
         """Read-only float capacity vector in column order."""
-        tree = self.tree
-        volumes = [*map(float, self._degree_volumes), float(self.params.tau)]
-        counts = [1, tree.first_leaf - 2, tree.leaf_count, tree.node_count - 1]
-        caps = np.repeat(volumes, counts)
+        volumes, counts = zip(*self.volume_classes)
+        caps = np.repeat([float(v) for v in volumes], counts)
         caps.flags.writeable = False
         return caps
 
@@ -189,16 +184,8 @@ def balanced_decomposition(m: int, params: BlockParams) -> tuple[Number, ...]:
     child side.  The root piece then has volume exactly V0 and every
     other piece V0 + tau - 2*mu; the total matches the region graph.
     """
-    graph = region_graph(m, params)
-    tree = graph.tree
-    pieces = []
-    for node in range(1, tree.node_count + 1):
-        volume = graph.node_volume(node)
-        if node != 1:
-            volume += params.tau - params.mu
-        volume += params.mu * len(tree.children(node))
-        pieces.append(volume)
-    return tuple(pieces)
+    nodes = build_tree(m).node_count
+    return (params.V0,) + (params.V0 + params.tau - 2 * params.mu,) * (nodes - 1)
 
 
 def paper_width_bound(m: int, params: BlockParams) -> Number:

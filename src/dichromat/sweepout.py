@@ -49,6 +49,7 @@ STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 TRACE_BYTES_CAP = 512 * 2**20
 
 _BLOCK_CELLS = 1 << 18
+_REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
 _CSV_CHUNK = 1 << 19  # characters read and parsed per block by `trace_read_csv`
@@ -87,7 +88,7 @@ class ValidationReport:
     step: int | None = None
 
 
-def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationReport:
+def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     """Check shape, empty start, full end, capacity range, and step bound.
 
     Reports the first violating step; comparisons use a relative
@@ -106,7 +107,7 @@ def validate_trace(trace: SweepoutTrace, rel_tol: float = 1e-9) -> ValidationRep
             f"expected shape (>=2, {trace.graph.entry_count}), got {steps.shape}",
             None,
         )
-    tol = rel_tol * max(1.0, float(caps.max()))
+    tol = _REL_TOL * max(1.0, float(caps.max()))
     if np.abs(steps[0]).max() > tol:
         return ValidationReport(False, "first step is not the empty vector", 0)
 
@@ -269,18 +270,21 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
 # trace generation
 
 
-def _sequential_fill(caps: np.ndarray, order: Iterable[int], delta: float) -> np.ndarray:
-    """Fill entries one at a time in ``order`` with equal sub-delta steps."""
-    schedule: list[tuple[int, float]] = []
+def _sequential_fill(
+    graph: RegionGraph, order: Iterable[int], delta: float, rows: int
+) -> np.ndarray:
+    """Fill entries one at a time in ``order``, each in the equal sub-delta
+    steps `_class_parts` gives its class, into `_trace_rows` rows."""
+    counts = [count for _, count in graph.volume_classes]
+    caps, parts = graph.capacities, np.repeat(_class_parts(graph, delta), counts)
+    steps = np.zeros((rows, caps.size))
+    r = 0
     for entry in order:
-        parts = _ceil_snap(float(caps[entry]) / delta)
-        for j in range(1, parts + 1):
-            schedule.append((entry, float(caps[entry]) * j / parts))
-    steps = np.zeros((len(schedule) + 1, caps.size))
-    current = np.zeros(caps.size)
-    for r, (entry, value) in enumerate(schedule, start=1):
-        current[entry] = value
-        steps[r] = current
+        cap, count = float(caps[entry]), int(parts[entry])
+        for j in range(1, count + 1):
+            r += 1
+            steps[r] = steps[r - 1]
+            steps[r, entry] = cap * j / count
     return steps
 
 
@@ -300,6 +304,25 @@ def _postorder_entries(graph: RegionGraph) -> list[int]:
     return walk(1)
 
 
+def _class_parts(graph: RegionGraph, delta: float) -> list[int]:
+    """Sub-delta steps a fill takes per entry of each volume class."""
+    return [_ceil_snap(float(volume) / delta) for volume, _ in graph.volume_classes]
+
+
+def _trace_rows(strategy: str, graph: RegionGraph, delta: float) -> int:
+    """Rows of the `strategy` trace, from the four volume classes alone.
+    The fills build exactly this many and random-monotone at most this
+    many; uniform counts from the float capacity sum, which can differ
+    from the class sum only by rounding dust at a step boundary."""
+    volumes, counts = zip(*graph.volume_classes)
+    if strategy == "uniform":
+        return _ceil_snap(float(graph.total_volume) / delta) + 1
+    if strategy == "random-monotone":
+        # every step raises each entry not yet full by at least delta/4
+        return math.ceil(float(max(volumes)) / (0.25 * delta)) + 1
+    return 1 + sum(n * k for n, k in zip(counts, _class_parts(graph, delta)))
+
+
 def generate_trace(
     strategy: str,
     m: int,
@@ -311,8 +334,9 @@ def generate_trace(
 
     ``delta`` defaults to alpha/4, which keeps every strategy admissible.
     ``seed`` only affects ``random-monotone``; for a fixed seed the trace
-    is bit-for-bit reproducible.  Raises `CapacityError` before allocating
-    when the table could exceed `TRACE_BYTES_CAP`.
+    is bit-for-bit reproducible.  Raises `CapacityError` before any
+    per-entry array exists when the table of `_trace_rows` rows, counted
+    from the four volume classes, would exceed `TRACE_BYTES_CAP`.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -324,39 +348,27 @@ def generate_trace(
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise InvalidParameterError(f"delta must be finite and positive, got {delta}")
-    if 2 * graph.entry_count * 8 > TRACE_BYTES_CAP:  # before the capacities exist
+    rows = _trace_rows(strategy, graph, delta)
+    size = rows * graph.entry_count * 8
+    if size > TRACE_BYTES_CAP:
         raise CapacityError(
-            f"any trace at m={m} has at least 2 x {graph.entry_count} entries, above the "
-            f"{TRACE_BYTES_CAP // 2**20} MiB trace cap; use a smaller m"
+            f"{strategy} trace at m={m} needs up to {rows} x {graph.entry_count} entries "
+            f"({size / 2**20:.0f} MiB), above the {TRACE_BYTES_CAP // 2**20} MiB "
+            "trace cap; use a smaller m or a larger delta"
         )
     caps = graph.capacities
 
     if strategy == "uniform":
-        rows = _ceil_snap(float(caps.sum()) / delta) + 1
-    elif strategy == "random-monotone":
-        # every step raises each entry not yet full by at least delta/4
-        rows = math.ceil(float(caps.max()) / (0.25 * delta)) + 1
-    else:
-        rows = sum(_ceil_snap(float(c) / delta) for c in caps) + 1
-    size = rows * caps.size * 8
-    if size > TRACE_BYTES_CAP:
-        raise CapacityError(
-            f"{strategy} trace at m={m} needs up to {rows} x {caps.size} entries "
-            f"({size / 2**20:.0f} MiB), above the {TRACE_BYTES_CAP // 2**20} MiB "
-            "trace cap; use a smaller m or a larger delta"
-        )
-
-    if strategy == "uniform":
-        fractions = np.linspace(0.0, 1.0, rows)
+        fractions = np.linspace(0.0, 1.0, _ceil_snap(float(caps.sum()) / delta) + 1)
         steps = fractions[:, None] * caps[None, :]
     elif strategy == "dfs-fill":
-        steps = _sequential_fill(caps, _postorder_entries(graph), delta)
+        steps = _sequential_fill(graph, _postorder_entries(graph), delta, rows)
     elif strategy == "bfs-fill":
         order = [graph.region_col(1)]
         for child in range(2, graph.tree.node_count + 1):
             order.append(graph.tube_col(child))
             order.append(graph.region_col(child))
-        steps = _sequential_fill(caps, order, delta)
+        steps = _sequential_fill(graph, order, delta, rows)
     else:  # random-monotone
         # rows past the last one written are never touched, so never resident
         rng = np.random.default_rng(seed)

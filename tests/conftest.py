@@ -144,10 +144,36 @@ def witness_loop(tables, kind: str, m: int, index: int) -> np.ndarray:
     return bits
 
 
+def node_volumes_of(graph) -> list:
+    """Per-node region volumes, heap-ordered: V0 less mu per incident edge,
+    from the parameters and ``tree.degree`` alone."""
+    p, tree = graph.params, graph.tree
+    return [p.V0 - tree.degree(i) * p.mu for i in range(1, tree.node_count + 1)]
+
+
 def capacities_of(graph) -> np.ndarray:
-    """Float capacities in trace column order, straight from the volumes."""
-    caps = [float(v) for v in graph.node_volumes] + [float(v) for v in graph.edge_volumes]
+    """Float capacities in trace column order: one per node, then tau once
+    per edge into nodes 2..n."""
+    caps = [float(v) for v in node_volumes_of(graph)]
+    caps += [float(graph.params.tau)] * (graph.tree.node_count - 1)
     return np.asarray(caps, dtype=np.float64)
+
+
+def _ceil_snap(x: float) -> int:
+    return max(1, int(math.ceil(x - 1e-9)))
+
+
+def trace_rows_per_entry(strategy: str, caps: np.ndarray, delta: float) -> int:
+    """Rows of a trace by the per-entry formulas: one row per sub-delta
+    part of every entry for the fills, ``ceil(max / (delta/4)) + 1`` for
+    random-monotone, and the snapped capacity sum over delta, plus one,
+    for uniform.  The 1e-9 snap keeps a quotient like 1000.0000000001
+    from rounding up a whole extra row."""
+    if strategy == "uniform":
+        return _ceil_snap(float(caps.sum()) / delta) + 1
+    if strategy == "random-monotone":
+        return math.ceil(float(caps.max()) / (0.25 * delta)) + 1
+    return sum(_ceil_snap(float(c) / delta) for c in caps) + 1
 
 
 def validate_trace_dense(trace, rel_tol: float = 1e-9) -> tuple[bool, str, int | None]:

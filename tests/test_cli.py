@@ -442,11 +442,14 @@ def _main_in_one_gib(*argv: str, timeout: float = 120) -> subprocess.CompletedPr
         ("width-bound", "-m", "200000"),
         ("verify", "--which", "lemma22", "-m", "10000000000"),
         ("bset", "-m", "24", "-d", "2000"),
+        ("sweepout", "-m", "22", "--strategy", "dfs-fill"),
+        ("sweepout", "-m", "23", "--strategy", "uniform"),
     ],
-    ids=["width-bound", "lemma22", "bset"],
+    ids=["width-bound", "lemma22", "bset", "sweepout-dfs-fill", "sweepout-uniform"],
 )
 def test_oversized_m_refused_before_work(argv):
-    # the cap is checked before a(m), 2**(m+1) or any table is formed
+    # the cap is checked before a(m), 2**(m+1) or any table or capacity
+    # vector is formed
     proc = _main_in_one_gib(*argv, timeout=30)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "capacity exceeded" in proc.stderr and "Traceback" not in proc.stderr

@@ -16,7 +16,7 @@ from dichromat import (
     width_lower_bound,
 )
 from dichromat.metric import parse_param_value
-from conftest import capacities_of, random_rational_params
+from conftest import capacities_of, node_volumes_of, random_rational_params
 
 RAT = BlockParams(V0=Fraction(20), mu=Fraction(1), tau=Fraction(3, 2), alpha=Fraction(3))
 
@@ -96,12 +96,20 @@ class TestRegionGraph:
     def test_volumes_by_degree_equal_per_node(self, params):
         for m in range(1, 15):
             g = region_graph(m, params)
-            tree = g.tree
-            nodes = [params.V0 - tree.degree(i) * params.mu for i in range(1, tree.node_count + 1)]
-            assert list(map(type, g.node_volumes)) == list(map(type, nodes))
-            assert g.node_volumes == tuple(nodes)
-            assert g.edge_volumes == (params.tau,) * (tree.node_count - 1)
+            n = g.tree.node_count
+            got = [g.node_volume(i) for i in range(1, n + 1)]
+            nodes = node_volumes_of(g)
+            assert list(map(type, got)) == list(map(type, nodes))
+            assert got == nodes
+            tubes = [g.edge_volume(c) for c in range(2, n + 1)]
+            assert list(map(type, tubes)) == [type(params.tau)] * (n - 1)
+            assert tubes == [params.tau] * (n - 1)
             assert g.capacities.tobytes() == capacities_of(g).tobytes()
+            total = sum(nodes) + (n - 1) * params.tau
+            if params.is_rational:
+                assert g.total_volume == total
+            else:
+                assert math.isclose(g.total_volume, total, rel_tol=1e-12)
 
 
 class TestBalancedDecomposition:

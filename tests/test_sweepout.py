@@ -31,9 +31,12 @@ from dichromat import (
 from dichromat import sweepout
 from dichromat.tree import EdgeSet, build_tree, max_matching
 from conftest import (
+    capacities_of,
     max_matching_stack,
+    random_rational_params,
     read_csv_whole,
     trace_csv_cells,
+    trace_rows_per_entry,
     validate_trace_dense,
 )
 
@@ -84,15 +87,52 @@ def test_generate_refuses_oversized_table(strategy, params):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_generate_refuses_two_row_overflow_before_capacities(strategy, params):
-    # even the two rows every trace has exceed the cap at m = 24
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="trace cap"):
-            generate_trace(strategy, 24, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
+    # the refusal is decided from the four volume classes, so no
+    # per-entry array (134 MB of capacities at m = 22) is ever built
+    for m in (22, 23, 24):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="trace cap"):
+                generate_trace(strategy, m, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (m, peak)
+
+
+def _random_float_params(rng: np.random.Generator) -> BlockParams:
+    v0 = float(rng.uniform(5, 50))
+    mu = v0 * float(rng.uniform(0.01, 0.3))
+    alpha = (v0 - 3 * mu) * float(rng.uniform(0.05, 0.45))
+    return BlockParams(V0=v0, mu=mu, tau=mu * float(rng.uniform(1.05, 4)), alpha=alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 10),
+    rational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 0.25, 0.37, 1.0, 2.5, 10.0]),
+)
+@example(m=8, rational=False, seed=0, scale=0.25)
+@example(m=3, rational=True, seed=1, scale=0.1)
+def test_trace_rows_equal_per_entry_oracle(m, rational, seed, scale):
+    # the size check counts rows from the volume classes; the per-entry
+    # formulas must give the same count, and the fills and uniform build it
+    rng = np.random.default_rng(seed)
+    params = (random_rational_params if rational else _random_float_params)(rng)
+    delta = float(params.alpha) * scale
+    graph = region_graph(m, params)
+    caps = capacities_of(graph)
+    for strategy in STRATEGIES:
+        expect = trace_rows_per_entry(strategy, caps, delta)
+        assert sweepout._trace_rows(strategy, graph, delta) == expect, strategy
+        with mock.patch.object(sweepout, "TRACE_BYTES_CAP", 0):
+            with pytest.raises(CapacityError, match=f"needs up to {expect} x {caps.size} "):
+                generate_trace(strategy, m, params, delta=delta)
+        if strategy != "random-monotone" and expect * caps.size * 8 <= 2**23:
+            trace = generate_trace(strategy, m, params, delta=delta)
+            assert trace.steps.shape == (expect, caps.size), strategy
 
 
 @pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0])
