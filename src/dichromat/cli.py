@@ -320,7 +320,7 @@ def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
             "m": args.m,
             "seed": args.seed,
             "delta": trace.step_bound,
-            "steps": int(trace.steps.shape[0]),
+            "steps": trace.shape[0],
             "t0": certificate.t0,
             "black_nodes": certificate.coloring.black_nodes(),
             "sandwich_pairs": [list(pair) for pair in certificate.sandwich_regions],

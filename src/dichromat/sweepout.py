@@ -1,13 +1,20 @@
 """Discrete sweepout traces over a region graph and slice certificates.
 
 A trace records, step by step, how much volume a growing set occupies in
-every spherical region and every tube.  Steps are column vectors over the
+every spherical region and every tube.  Steps are rows over the column
 layout ``[regions 1..n, tubes into 2..n]``; a valid trace starts empty,
 ends full, stays inside the capacities, and moves every entry by at most
 ``step_bound`` per step.  That step bound is the discrete stand-in for
 continuity: when the special slice is reached, at most ``a - 1`` leaves
 can sit more than one step above the threshold, because one step earlier
 fewer than ``a`` of them had reached it at all.
+
+A trace is read as one walk over column-sparse row blocks (see
+`SweepoutTrace`).  The fills change one entry per step, so their blocks
+touch one column each, and no consumer builds the dense steps x entries
+table: validation, the special slice, the coloring, the certificate and
+the CSV writer each make one pass and keep O(entries) state, the current
+row.  Only the row of the special slice is kept.
 
 The certificate logic re-checks every claimed volume sandwich directly
 against the trace numbers; nothing is trusted from the coloring step.
@@ -16,10 +23,12 @@ against the trace numbers; nothing is trusted from the coloring step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -43,18 +52,20 @@ from .tree import (
 
 STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 
-# Largest dense (steps x entries) float64 table `generate_trace` builds.
-# Nothing downstream copies it: validation walks it in blocks of
-# `_BLOCK_CELLS` cells, so peak memory stays about one table.
+# Largest float64 table a trace may need, 8 bytes a cell: the cells one
+# pass over a generated trace reads, and a dense `SweepoutTrace.steps`.
 TRACE_BYTES_CAP = 512 * 2**20
 
-_BLOCK_CELLS = 1 << 18
+_BLOCK_CELLS = 1 << 18  # cells of a row block; a block of one row may hold more
 _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
 _CSV_CHUNK = 1 << 19  # characters read and parsed per block by `trace_read_csv`
 # every character `str.splitlines` breaks a line at
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# (first step, sorted columns it touches, rows x touched values)
+Block = tuple[int, np.ndarray, np.ndarray]
 
 
 def _ceil_snap(x: float) -> int:
@@ -63,22 +74,108 @@ def _ceil_snap(x: float) -> int:
     return max(1, int(math.ceil(x - 1e-9)))
 
 
-@dataclass(frozen=True, eq=False)
 class SweepoutTrace:
-    """An immutable (steps x entries) volume table plus its step bound."""
+    """A (steps x entries) volume table plus its step bound, read as a
+    walk over column-sparse row blocks.
 
-    graph: RegionGraph
-    steps: np.ndarray = field(repr=False)
-    step_bound: float
+    Each call of ``blocks()`` walks the rows again and yields ``(start,
+    cols, table)``: the block's first step, the sorted columns it touches
+    and a ``len(table) x len(cols)`` table of their values.  A column a
+    block does not list keeps its value from the previous row; the first
+    block lists every column.  ``shape`` is the (steps, entries) shape of
+    the table.  ``SweepoutTrace(graph=, steps=, step_bound=)`` wraps a
+    dense table, whose blocks touch every column.  `generate_trace` makes
+    the fill and uniform traces from their rule, block by block; for
+    those, ``steps`` builds the dense table on demand, refused past
+    `TRACE_BYTES_CAP`.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 < self.step_bound < math.inf:
+    def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
+        table = np.asarray(steps, dtype=np.float64)
+        table.flags.writeable = False
+        self._init(graph, step_bound, table.shape, partial(_dense_blocks, table))
+        self._steps = table
+
+    @classmethod
+    def _from_blocks(
+        cls, graph: RegionGraph, step_bound: float, rows: int,
+        blocks: Callable[[], Iterator[Block]],
+    ) -> SweepoutTrace:
+        trace = cls.__new__(cls)
+        trace._init(graph, step_bound, (rows, graph.entry_count), blocks)
+        return trace
+
+    def _init(self, graph, step_bound, shape, blocks) -> None:
+        if not 0 < step_bound < math.inf:
             raise InvalidParameterError(
-                f"step_bound must be finite and positive, got {self.step_bound}"
+                f"step_bound must be finite and positive, got {step_bound}"
             )
-        arr = np.asarray(self.steps, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "steps", arr)
+        self.graph = graph
+        self.step_bound = step_bound
+        self.shape: tuple[int, ...] = shape
+        self.blocks: Callable[[], Iterator[Block]] = blocks  # a new walk per call
+        self._steps: np.ndarray | None = None
+        self._row: tuple[int, np.ndarray] | None = None  # the last row asked for
+
+    @property
+    def steps(self) -> np.ndarray:
+        """The dense read-only table, built from the blocks once asked for."""
+        if self._steps is None:
+            cells = math.prod(self.shape)
+            if cells * 8 > TRACE_BYTES_CAP:
+                raise CapacityError(
+                    f"a dense {self.shape[0]} x {self.shape[1]} trace table "
+                    f"({cells * 8 / 2**20:.0f} MiB) is above the "
+                    f"{TRACE_BYTES_CAP // 2**20} MiB trace cap"
+                )
+            steps = np.empty(self.shape)
+            for start, cols, table, row in _walk(self):
+                stop = start + len(table)
+                steps[start:stop] = row
+                steps[start:stop, cols] = table
+            steps.flags.writeable = False
+            self._steps = steps
+        return self._steps
+
+    def row(self, t: int) -> np.ndarray:
+        """Row ``t``, read-only; the last row asked for is kept."""
+        if self._row is None or self._row[0] != t:
+            for start, cols, table, row in _walk(self):
+                if 0 <= t - start < len(table):
+                    row[cols] = table[t - start]
+                    self._keep_row(t, row)
+                    break
+            else:
+                raise InvalidParameterError(f"step {t} outside the trace")
+        return self._row[1]
+
+    def _keep_row(self, t: int, row: np.ndarray) -> None:
+        row.flags.writeable = False
+        self._row = (t, row)
+
+
+def _walk(trace: SweepoutTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``trace.blocks()``, each with the row before it (zeros before the
+    first).  The row is one array, advanced past a block when the next
+    is asked for; a consumer may keep it once it stops walking."""
+    row = np.zeros(trace.graph.entry_count)
+    for start, cols, table in trace.blocks():
+        yield start, cols, table, row
+        row[_index(cols, row.size)] = table[-1]
+
+
+def _index(cols: np.ndarray, entries: int) -> np.ndarray | slice:
+    """An index for a block's columns: every column, as a block of a dense
+    or uniform trace lists them, is a slice, so it copies nothing."""
+    return slice(None) if cols.size == entries else cols
+
+
+def _dense_blocks(steps: np.ndarray) -> Iterator[Block]:
+    """A dense table as blocks of every column, `_BLOCK_CELLS` cells each."""
+    cols = np.arange(steps.shape[1])
+    size = max(1, _BLOCK_CELLS // max(1, cols.size))
+    for start in range(0, len(steps), size):
+        yield start, cols, steps[start : start + size]
 
 
 @dataclass(frozen=True)
@@ -94,51 +191,51 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     Reports the first violating step; comparisons use a relative
     tolerance so float-built traces do not trip on rounding dust.  A
     non-finite volume is an entry outside [0, capacity].  At one
-    step the checks rank in the order listed.  The table is read in row
-    blocks of about `_BLOCK_CELLS` cells, each overlapping the previous
-    one by a row for the step differences, so the extra memory does not
-    grow with the trace.
+    step the checks rank in the order listed.  One pass over the blocks:
+    a column a block does not touch neither moves nor leaves its range,
+    so each block is checked on its own columns, its first row against
+    the row before it.
     """
-    steps = trace.steps
-    caps = trace.graph.capacities
-    if steps.ndim != 2 or steps.shape[1] != trace.graph.entry_count or steps.shape[0] < 2:
+    entries = trace.graph.entry_count
+    if len(trace.shape) != 2 or trace.shape[1] != entries or trace.shape[0] < 2:
         return ValidationReport(
-            False,
-            f"expected shape (>=2, {trace.graph.entry_count}), got {steps.shape}",
-            None,
+            False, f"expected shape (>=2, {entries}), got {trace.shape}", None
         )
+    caps = trace.graph.capacities
     tol = _REL_TOL * max(1.0, float(caps.max()))
-    if np.abs(steps[0]).max() > tol:
-        return ValidationReport(False, "first step is not the empty vector", 0)
-
-    # a violation found in one block precedes everything in later blocks
     high = caps + tol
     jump_limit = trace.step_bound + tol
-    rows, cols = steps.shape
-    block_rows = max(1, _BLOCK_CELLS // cols)
-    diff = np.empty((block_rows, cols))
-    for start in range(0, rows, block_rows):
-        # the window adds the previous block's last row for the differences
-        lo = max(start - 1, 0)
-        window = steps[lo : start + block_rows]
-        block = window[start - lo :]
+    scratch = np.empty(0)  # a block's step differences
+    for start, cols, table, row in _walk(trace):
+        if start == 0 and np.abs(table[0]).max() > tol:
+            return ValidationReport(False, "first step is not the empty vector", 0)
+        at = _index(cols, entries)
+        inside = table >= -tol
+        inside &= table <= high[at]
+        if scratch.size < table.size:
+            scratch = np.empty(table.size)
+        # row i holds the jump into step start + i; step 0 has none
+        jumps = scratch[: table.size].reshape(table.shape)
+        np.subtract(table[0], row[at], out=jumps[0])
+        np.subtract(table[1:], table[:-1], out=jumps[1:])
+        np.abs(jumps, out=jumps)
+        if not start:
+            jumps[0] = 0.0
+        # NaN fails `inside`, so a block holding one is never skipped
+        if inside.all() and jumps.max() <= jump_limit:
+            continue
+        # a violation found in one block precedes everything in later blocks
         violations: list[tuple[int, str]] = []
-        # NaN fails both comparisons, so it counts as outside
-        inside = block >= -tol
-        inside &= block <= high
         bad = np.flatnonzero(~inside.all(axis=1))
         if bad.size:
             violations.append((start + int(bad[0]), "entry outside [0, capacity]"))
-        jumps = np.subtract(window[1:], window[:-1], out=diff[: len(window) - 1])
-        too_big = np.flatnonzero(np.abs(jumps, out=jumps).max(axis=1) > jump_limit)
+        too_big = np.flatnonzero(jumps.max(axis=1) > jump_limit)
         if too_big.size:
-            step = lo + 1 + int(too_big[0])
-            violations.append((step, f"step exceeds bound {trace.step_bound}"))
-        if violations:
-            step, message = min(violations, key=lambda v: v[0])
-            return ValidationReport(False, message, step)
-    if np.abs(steps[-1] - caps).max() > tol:
-        return ValidationReport(False, "last step is not the full vector", rows - 1)
+            violations.append((start + int(too_big[0]), f"step exceeds bound {trace.step_bound}"))
+        step, message = min(violations, key=lambda v: v[0])
+        return ValidationReport(False, message, step)
+    if np.abs(row - caps).max() > tol:
+        return ValidationReport(False, "last step is not the full vector", trace.shape[0] - 1)
     return ValidationReport(True)
 
 
@@ -149,26 +246,39 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     ``a - 1`` leaves may exceed alpha by more than one step bound.  For a
     valid trace this always holds (one step earlier, fewer than ``a``
     leaves had reached alpha); a violation therefore means the trace
-    breaks its own declared step bound.
+    breaks its own declared step bound.  One pass over the blocks up to
+    that step, with a running count of leaves at or above alpha; the
+    trace keeps the row of the step it finds.
     """
     leaf_count = trace.graph.tree.leaf_count
     if not isinstance(a, int) or not 1 <= a <= leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
-    leaf_vols = trace.steps[:, trace.graph.leaf_cols]
-    counts = (leaf_vols >= alpha).sum(axis=1)
-    hits = np.flatnonzero(counts >= a)
-    if hits.size == 0:
+    leaves = trace.graph.leaf_cols
+    count = 0
+    for start, cols, table, row in _walk(trace):
+        lo, hi = np.searchsorted(cols, (leaves.start, leaves.stop))
+        if lo == hi:
+            continue
+        counts = (table[:, lo:hi] >= alpha).sum(axis=1)
+        counts += count - np.count_nonzero(row[cols[lo:hi]] >= alpha)
+        hits = np.flatnonzero(counts >= a)
+        if hits.size:
+            t0 = start + int(hits[0])
+            row[cols] = table[t0 - start]
+            break
+        count = int(counts[-1])
+    else:
         raise TraceError("no step reaches the threshold on enough leaves; "
                          "is the trace complete?")
-    t0 = int(hits[0])
-    strict = int((leaf_vols[t0] > alpha + trace.step_bound).sum())
+    strict = int((row[leaves] > alpha + trace.step_bound).sum())
     if strict > a - 1:
         raise AdmissibilityError(
             f"{strict} leaves already exceed alpha + step_bound at step {t0}; "
             "regenerate the trace with a finer step_bound "
             "(delta <= alpha/4 is always safe)"
         )
+    trace._keep_row(t0, row)
     return t0
 
 
@@ -184,12 +294,12 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
     alpha; a failure is an admissibility violation and raised as such.
     """
     tree = trace.graph.tree
-    if not 0 <= t0 < trace.steps.shape[0]:
+    if not 0 <= t0 < trace.shape[0]:
         raise InvalidParameterError(f"t0={t0} outside the trace")
     if not isinstance(a, int) or not 1 <= a <= tree.leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{tree.leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
-    row = trace.steps[t0]
+    row = trace.row(t0)
     leaf_vols = row[trace.graph.leaf_cols]
 
     margin = alpha + trace.step_bound
@@ -251,7 +361,8 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
     parent = child // 2
     cols = (graph.region_col(parent), graph.region_col(child), graph.tube_col(child))
     # summed parent region, child region, tube: the rounding the output pins
-    occupied = sum(trace.steps[t0, c] for c in cols)
+    row = trace.row(t0)
+    occupied = sum(row[c] for c in cols)
     total = sum(graph.capacities[c] for c in cols)
     keep = (alpha <= occupied) & (occupied <= total - alpha)
 
@@ -270,38 +381,60 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
 # trace generation
 
 
-def _sequential_fill(
-    graph: RegionGraph, order: Iterable[int], delta: float, rows: int
-) -> np.ndarray:
-    """Fill entries one at a time in ``order``, each in the equal sub-delta
-    steps `_class_parts` gives its class, into `_trace_rows` rows."""
-    counts = [count for _, count in graph.volume_classes]
-    caps, parts = graph.capacities, np.repeat(_class_parts(graph, delta), counts)
-    steps = np.zeros((rows, caps.size))
-    r = 0
-    for entry in order:
-        cap, count = float(caps[entry]), int(parts[entry])
-        for j in range(1, count + 1):
-            r += 1
-            steps[r] = steps[r - 1]
-            steps[r, entry] = cap * j / count
-    return steps
-
-
-def _postorder_entries(graph: RegionGraph) -> list[int]:
+def _postorder_entries(graph: RegionGraph) -> Iterator[int]:
     tree = graph.tree
 
-    def walk(v: int) -> list[int]:
-        if tree.is_leaf(v):
-            return [graph.region_col(v)]
-        out: list[int] = []
-        for u in tree.children(v):
-            out.extend(walk(u))
-            out.append(graph.tube_col(u))
-        out.append(graph.region_col(v))
-        return out
+    def walk(v: int) -> Iterator[int]:
+        if not tree.is_leaf(v):
+            for u in tree.children(v):
+                yield from walk(u)
+                yield graph.tube_col(u)
+        yield graph.region_col(v)
 
     return walk(1)
+
+
+def _bfs_entries(graph: RegionGraph) -> Iterator[int]:
+    yield graph.region_col(1)
+    for child in range(2, graph.tree.node_count + 1):
+        yield graph.tube_col(child)
+        yield graph.region_col(child)
+
+
+def _fill_blocks(
+    graph: RegionGraph, order: Callable[[RegionGraph], Iterator[int]], parts: list[int]
+) -> Iterator[Block]:
+    """The empty row over every column, then each entry of ``order(graph)``
+    in turn: at its j-th of the ``k`` steps `_class_parts` gives its class,
+    its column holds ``cap * j / k``.  One block per entry, split every
+    `_BLOCK_CELLS` steps."""
+    volumes, counts = zip(*graph.volume_classes)
+    class_starts = np.cumsum((0,) + counts[:-1]).tolist()
+    size = _BLOCK_CELLS
+
+    def fill(kind: int) -> Iterator[np.ndarray]:
+        cap, k = float(volumes[kind]), parts[kind]
+        for s in range(0, k, size):
+            yield (cap * np.arange(s + 1, min(s + size, k) + 1) / k)[:, None]
+
+    # a fill of one block is made once; under the trace cap a longer one
+    # has at most 2**26 / `_BLOCK_CELLS` entries, so it is made as read
+    short = [list(fill(kind)) if k <= size else None for kind, k in enumerate(parts)]
+    yield 0, np.arange(graph.entry_count), np.zeros((1, graph.entry_count))
+    start = 1
+    for entry in order(graph):
+        col = np.array([entry])
+        kind = bisect_right(class_starts, entry) - 1
+        for chunk in short[kind] or fill(kind):
+            yield start, col, chunk
+            start += len(chunk)
+
+
+def _uniform_blocks(caps: np.ndarray, fractions: np.ndarray) -> Iterator[Block]:
+    cols = np.arange(caps.size)
+    size = max(1, _BLOCK_CELLS // caps.size)
+    for start in range(0, fractions.size, size):
+        yield start, cols, fractions[start : start + size, None] * caps[None, :]
 
 
 def _class_parts(graph: RegionGraph, delta: float) -> list[int]:
@@ -323,6 +456,15 @@ def _trace_rows(strategy: str, graph: RegionGraph, delta: float) -> int:
     return 1 + sum(n * k for n, k in zip(counts, _class_parts(graph, delta)))
 
 
+def _trace_cells(strategy: str, graph: RegionGraph, rows: int) -> int:
+    """Cells the blocks of a ``rows``-row trace hold, so one pass reads:
+    every column of every row for uniform and random-monotone, the empty
+    row and then one cell a step for the fills."""
+    if strategy in ("uniform", "random-monotone"):
+        return rows * graph.entry_count
+    return graph.entry_count + rows - 1
+
+
 def generate_trace(
     strategy: str,
     m: int,
@@ -335,8 +477,11 @@ def generate_trace(
     ``delta`` defaults to alpha/4, which keeps every strategy admissible.
     ``seed`` only affects ``random-monotone``; for a fixed seed the trace
     is bit-for-bit reproducible.  Raises `CapacityError` before any
-    per-entry array exists when the table of `_trace_rows` rows, counted
-    from the four volume classes, would exceed `TRACE_BYTES_CAP`.
+    per-entry array exists when the cells one pass over the trace reads,
+    `_trace_cells` of `_trace_rows` rows counted from the four volume
+    classes, would exceed `TRACE_BYTES_CAP`.  The fills and uniform are
+    made block by block as they are read; random-monotone is a dense
+    table.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -349,39 +494,34 @@ def generate_trace(
     if not 0 < delta < math.inf:
         raise InvalidParameterError(f"delta must be finite and positive, got {delta}")
     rows = _trace_rows(strategy, graph, delta)
-    size = rows * graph.entry_count * 8
-    if size > TRACE_BYTES_CAP:
+    cells = _trace_cells(strategy, graph, rows)
+    if cells * 8 > TRACE_BYTES_CAP:
         raise CapacityError(
-            f"{strategy} trace at m={m} needs up to {rows} x {graph.entry_count} entries "
-            f"({size / 2**20:.0f} MiB), above the {TRACE_BYTES_CAP // 2**20} MiB "
-            "trace cap; use a smaller m or a larger delta"
+            f"{strategy} trace at m={m} needs up to {rows} x {graph.entry_count} entries, "
+            f"{cells} cells a pass ({cells * 8 / 2**20:.0f} MiB), above the "
+            f"{TRACE_BYTES_CAP // 2**20} MiB trace cap; use a smaller m or a larger delta"
         )
     caps = graph.capacities
 
     if strategy == "uniform":
         fractions = np.linspace(0.0, 1.0, _ceil_snap(float(caps.sum()) / delta) + 1)
-        steps = fractions[:, None] * caps[None, :]
-    elif strategy == "dfs-fill":
-        steps = _sequential_fill(graph, _postorder_entries(graph), delta, rows)
-    elif strategy == "bfs-fill":
-        order = [graph.region_col(1)]
-        for child in range(2, graph.tree.node_count + 1):
-            order.append(graph.tube_col(child))
-            order.append(graph.region_col(child))
-        steps = _sequential_fill(graph, order, delta, rows)
-    else:  # random-monotone
-        # rows past the last one written are never touched, so never resident
-        rng = np.random.default_rng(seed)
-        steps = np.empty((rows, caps.size))
-        steps[0] = 0.0
-        last = 0
-        while last + 1 < rows and np.any(steps[last] < caps):
-            inc = rng.uniform(0.25, 1.0, caps.size) * delta
-            np.minimum(steps[last] + inc, caps, out=steps[last + 1])
-            last += 1
-        steps = steps[: last + 1]
+        blocks = partial(_uniform_blocks, caps, fractions)
+        return SweepoutTrace._from_blocks(graph, delta, fractions.size, blocks)
+    if strategy != "random-monotone":
+        order = _postorder_entries if strategy == "dfs-fill" else _bfs_entries
+        blocks = partial(_fill_blocks, graph, order, _class_parts(graph, delta))
+        return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
-    return SweepoutTrace(graph=graph, steps=steps, step_bound=delta)
+    # rows past the last one written are never touched, so never resident
+    rng = np.random.default_rng(seed)
+    steps = np.empty((rows, caps.size))
+    steps[0] = 0.0
+    last = 0
+    while last + 1 < rows and np.any(steps[last] < caps):
+        inc = rng.uniform(0.25, 1.0, caps.size) * delta
+        np.minimum(steps[last] + inc, caps, out=steps[last + 1])
+        last += 1
+    return SweepoutTrace(graph=graph, steps=steps[: last + 1], step_bound=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +533,24 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
 
     Each row reformats only the cells whose float bits changed since the
     previous row, so ``-0.0`` and NaN keep their text; row 0 is compared
-    with its own complement, so all of its cells are formatted.
+    with its own complement, so all of its cells are formatted.  One pass
+    over the blocks, comparing only the columns each one touches.
     """
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
     try:
         prefix = [f",{ident}," for ident in trace.graph.entry_ids()]
         cells = [""] * len(prefix)
-        steps = trace.steps
-        bits = steps.view(np.uint64)
-        prev = ~bits[0] if len(bits) else None
         fh.write(_CSV_HEADER + "\n")
-        for s, row in enumerate(bits):
-            changed = np.flatnonzero(row != prev).tolist()
-            for i, v in zip(changed, steps[s, changed].tolist()):
-                cells[i] = f"{prefix[i]}{v!r}\n"
-            fh.write(str(s).join(["", *cells]))
-            prev = row
+        for start, cols, table, row in _walk(trace):
+            bits = table.view(np.uint64)
+            prev = ~bits[0] if start == 0 else row[cols].view(np.uint64)
+            for s, line in enumerate(bits, start):
+                changed = np.flatnonzero(line != prev)
+                for i, v in zip(cols[changed].tolist(), table[s - start, changed].tolist()):
+                    cells[i] = f"{prefix[i]}{v!r}\n"
+                fh.write(str(s).join(["", *cells]))
+                prev = line
     finally:
         if own:
             fh.close()

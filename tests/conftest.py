@@ -176,6 +176,63 @@ def trace_rows_per_entry(strategy: str, caps: np.ndarray, delta: float) -> int:
     return sum(_ceil_snap(float(c) / delta) for c in caps) + 1
 
 
+def fill_order(graph, strategy: str) -> list[int]:
+    """Entry columns in fill order.  dfs-fill is post-order: each subtree,
+    then the tube into it, then the node's own region.  bfs-fill is the
+    root region, then the tube and region of every node 2..n in turn."""
+    tree = graph.tree
+    n = tree.node_count
+
+    def tube(child: int) -> int:
+        return n + child - 2
+
+    if strategy == "bfs-fill":
+        return [0] + [col for c in range(2, n + 1) for col in (tube(c), c - 1)]
+
+    def post(v: int) -> list[int]:
+        if v >= tree.first_leaf:
+            return [v - 1]
+        out: list[int] = []
+        for u in (2 * v, 2 * v + 1):
+            out += post(u) + [tube(u)]
+        return out + [v - 1]
+
+    return post(1)
+
+
+def trace_table_dense(strategy: str, graph, delta: float, seed=None) -> np.ndarray:
+    """The whole (steps x entries) table of a generated trace, built dense
+    and row by row as the generator once did; for small m only.
+
+    The fills copy the previous row and raise one entry per row, to
+    ``cap * j / k`` at its j-th of ``k = ceil(cap / delta)`` steps (snapped);
+    uniform scales the capacities by an even grid of fractions;
+    random-monotone adds ``uniform(0.25, 1) * delta`` to every entry not yet
+    full, capped, until all are full."""
+    caps = capacities_of(graph)
+    rows = trace_rows_per_entry(strategy, caps, delta)
+    if strategy == "uniform":
+        fractions = np.linspace(0.0, 1.0, _ceil_snap(float(caps.sum()) / delta) + 1)
+        return fractions[:, None] * caps[None, :]
+    if strategy == "random-monotone":
+        rng = np.random.default_rng(seed)
+        steps = [np.zeros(caps.size)]
+        while len(steps) < rows and np.any(steps[-1] < caps):
+            inc = rng.uniform(0.25, 1.0, caps.size) * delta
+            steps.append(np.minimum(steps[-1] + inc, caps))
+        return np.array(steps)
+    steps = np.zeros((rows, caps.size))
+    r = 0
+    for entry in fill_order(graph, strategy):
+        cap = float(caps[entry])
+        count = _ceil_snap(cap / delta)
+        for j in range(1, count + 1):
+            r += 1
+            steps[r] = steps[r - 1]
+            steps[r, entry] = cap * j / count
+    return steps
+
+
 def validate_trace_dense(trace, rel_tol: float = 1e-9) -> tuple[bool, str, int | None]:
     """(ok, message, step) of a trace check on whole-table temporaries:
     every check runs over the full table and the lowest step wins, ties

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
@@ -256,6 +257,12 @@ GOLDEN = [
      "40cc6797e863f5bd4bf93bc27c69c1a327775621ed1dcc36009b7027976c2e97"),
     (("sweepout", "-m", "4", "--strategy", "dfs-fill"), 0,
      "29c96e1df1d20120b951d88bbc0cb8fc7f904dc8bfced926dc76bcd68eb854f0"),
+    (("sweepout", "-m", "8", "--strategy", "dfs-fill"), 0,
+     "b894070805c6b6c739ac39edfa5505909039ff23bd88c548edfc620310bdb85d"),
+    (("sweepout", "-m", "8", "--strategy", "bfs-fill"), 0,
+     "00f289039bb0d2928adb10da3c794b5f6fbfc3d0c092521129514042e7816814"),
+    (("sweepout", "-m", "8", "--strategy", "uniform"), 0,
+     "61f44b54741399c6cafaba35afa1914de1efe032b39e39bf13c1cd488ab60fcc"),
     (("export-dot", "-m", "5", "--witness", "t=11"), 0,
      "650470f7aed0a8017122afebe085c1e637092654986a6c9e81704fb195dbc6ac"),
     # the m = 14 witnesses break ties by reading the profile DP's tables
@@ -476,10 +483,10 @@ def test_python_m_dichromat_cli():
 
 
 def test_dense_trace_over_cap_exits_2():
-    # A 1 GiB address-space limit turns any attempt at the full dense table
-    # (about 23.5 GiB at m=12) into an immediate allocation failure, so the
-    # check never asks the machine for the memory.
-    proc = _main_in_one_gib("sweepout", "--strategy", "dfs-fill", "-m", "12")
+    # A 1 GiB address-space limit turns any attempt at a pass over the
+    # uniform trace (about 23.5 GiB of cells at m=12) into an immediate
+    # allocation failure, so the check never asks the machine for the memory.
+    proc = _main_in_one_gib("sweepout", "--strategy", "uniform", "-m", "12")
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "capacity exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -494,6 +501,29 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "dichromat: capacity exceeded: out of memory (Unable to allocate 375. MiB)\n"
+
+
+@pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill"])
+def test_fill_m14_certifies_in_one_gib(strategy):
+    # 770 027 steps x 65 533 entries: 376 GiB as a dense table, one
+    # (step, entry) cell a step as blocks
+    proc = _main_in_one_gib("sweepout", "--strategy", strategy, "-m", "14", timeout=90)
+    assert proc.returncode in (0, 3), proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["steps"] == 770027
+    assert float(proc.stderr.splitlines()[-1]) < 30.0
+
+
+@pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill", "uniform"])
+def test_sweepout_m8_memory_is_not_table_sized(capsys, strategy):
+    # the dense m = 8 table alone is 94 MB; a pass holds one row block
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweepout", "-m", "8", "--strategy", strategy])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 8 * 2**20, peak
 
 
 def test_dense_trace_m9_runs_in_one_gib():

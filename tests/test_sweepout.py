@@ -1,11 +1,12 @@
 import io
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dichromat import (
     AdmissibilityError,
@@ -21,6 +22,7 @@ from dichromat import (
     find_special_slice,
     generate_trace,
     induce_coloring,
+    load_params,
     region_graph,
     theorem_leaf_bound,
     trace_read_csv,
@@ -37,8 +39,11 @@ from conftest import (
     read_csv_whole,
     trace_csv_cells,
     trace_rows_per_entry,
+    trace_table_dense,
     validate_trace_dense,
 )
+
+WIDE = load_params(Path(__file__).resolve().parents[1] / "perfbench" / "params" / "wide.params")
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +450,21 @@ def test_validate_random_marks_match_dense_oracle(block_rows, marks):
         sweepout._BLOCK_CELLS = old
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 64])
+def test_validate_flags_overshoot_without_a_jump(monkeypatch, params, block_rows):
+    # one column creeps 1% past its capacity in steps far below the bound,
+    # so only the range check sees it, inside a block
+    trace = generate_trace("uniform", 2, params)
+    steps = trace.steps.copy()
+    cap = trace.graph.capacities[2]
+    steps[:, 2] = np.minimum(steps[:, 2] * 1.2, cap * 1.01)
+    bad = SweepoutTrace(graph=trace.graph, steps=steps, step_bound=trace.step_bound)
+    monkeypatch.setattr(sweepout, "_BLOCK_CELLS", block_rows * trace.graph.entry_count)
+    report = _reports_agree(bad)
+    assert (report.ok, report.message) == (False, "entry outside [0, capacity]")
+    assert 0 < report.step < len(steps) - 1
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_validate_default_blocks_match_dense_oracle(strategy, params):
     trace = generate_trace(strategy, 5, params, seed=2)
@@ -462,6 +482,106 @@ def test_validate_memory_is_not_table_sized(params):
     finally:
         tracemalloc.stop()
     assert peak < trace.steps.nbytes / 8, (peak, trace.steps.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# column-sparse row blocks against the dense tables they stand for
+
+
+def _block_cells(trace):
+    """Cells the blocks of ``trace`` hold, checking their layout on the way:
+    consecutive starts from 0, sorted distinct columns, every column in the
+    first block, and one table row per step."""
+    cells = 0
+    nxt = 0
+    for start, cols, table in trace.blocks():
+        assert start == nxt and table.shape == (len(table), cols.size) and len(table)
+        assert np.all(np.diff(cols) > 0) and (start or cols.size == trace.graph.entry_count)
+        cells += table.size
+        nxt += len(table)
+    assert nxt == trace.shape[0]
+    return cells
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+def test_trace_cells_equal_block_cells(strategy, wide):
+    # the size check counts cells from the four volume classes; the blocks
+    # hold exactly that many, or for random-monotone (a bound on its rows)
+    # at most that many
+    params = WIDE if wide else BlockParams.default()
+    delta = float(params.alpha) / 4
+    for m in range(1, 11):
+        graph = region_graph(m, params)
+        count = sweepout._trace_cells(strategy, graph, sweepout._trace_rows(strategy, graph, delta))
+        if count * 8 > sweepout.TRACE_BYTES_CAP:
+            with pytest.raises(CapacityError, match=f" {count} cells a pass "):
+                generate_trace(strategy, m, params, seed=m)
+            continue
+        held = _block_cells(generate_trace(strategy, m, params, seed=m))
+        if strategy == "random-monotone":
+            assert held <= count, m
+        else:
+            assert held == count, m
+
+
+def _certified(trace):
+    cert = certify(trace)
+    return (cert.t0, cert.coloring.bits.tobytes(), cert.sandwich_regions.children.tobytes(),
+            cert.disjoint_count, cert.certified_area)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    m=st.integers(1, 8),
+    wide=st.booleans(),
+    scale=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    block_cells=st.sampled_from([1, 2, 3, 7, 64, None]),
+    seed=st.integers(0, 3),
+)
+@example(strategy="dfs-fill", m=8, wide=False, scale=0.25, block_cells=3, seed=0)
+@example(strategy="bfs-fill", m=8, wide=True, scale=0.25, block_cells=None, seed=0)
+@example(strategy="uniform", m=8, wide=False, scale=0.25, block_cells=None, seed=0)
+@example(strategy="dfs-fill", m=3, wide=True, scale=1.0, block_cells=2, seed=0)
+def test_blocks_equal_dense_oracle(strategy, m, wide, scale, block_cells, seed):
+    # small block sizes split a fill inside one entry's steps and a dense
+    # or uniform table inside a row range; larger deltas can make the
+    # slice inadmissible, and both routes must then fail the same way
+    params = WIDE if wide else BlockParams.default()
+    delta = float(params.alpha) * scale
+    graph = region_graph(m, params)
+    assume(trace_rows_per_entry(strategy, capacities_of(graph), delta) * graph.entry_count <= 2**24)
+    with mock.patch.object(sweepout, "_BLOCK_CELLS", block_cells or sweepout._BLOCK_CELLS):
+        trace = generate_trace(strategy, m, params, delta=delta, seed=seed)
+        expect = trace_table_dense(strategy, graph, delta, seed)
+        assert trace.shape == trace.steps.shape == expect.shape
+        assert trace.steps.tobytes() == expect.tobytes()
+        dense = SweepoutTrace(graph=trace.graph, steps=trace.steps, step_bound=trace.step_bound)
+        assert validate_trace(trace) == validate_trace(dense)
+        a = a_of_m(m)
+        assert _read_outcome(find_special_slice, trace, a) == _read_outcome(
+            find_special_slice, dense, a
+        )
+        assert _read_outcome(_certified, trace) == _read_outcome(_certified, dense)
+        if m <= 5:
+            assert _csv_lines(trace) == _csv_lines(dense)
+
+
+def test_row_equals_dense_row(params):
+    trace = generate_trace("bfs-fill", 4, params)
+    for t in (0, 1, 57, trace.shape[0] - 1):
+        assert trace.row(t).tobytes() == trace.steps[t].tobytes()
+        assert not trace.row(t).flags.writeable
+    with pytest.raises(InvalidParameterError, match="outside the trace"):
+        trace.row(trace.shape[0])
+
+
+def test_dense_table_of_a_fill_is_refused_past_the_cap(params):
+    trace = generate_trace("dfs-fill", 12, params)
+    with pytest.raises(CapacityError, match="trace cap"):
+        trace.steps
+    assert validate_trace(trace).ok
 
 
 # ---------------------------------------------------------------------------
