@@ -13,12 +13,12 @@ Subcommands::
 Exit codes: 0 success, 1 invalid input, 2 capacity exceeded (a size cap,
 or out of memory), 3 a verification came back negative.
 
-Output is byte-stable for fixed inputs and seed.  JSON is what
-``json.dumps(doc, sort_keys=True, indent=2)`` prints: keys sorted, two
-spaces per level, floats rounded to 12 significant digits, exact
-rationals as integers or ``"p/q"`` strings.  The environment only enters
-through ``DICHROMAT_MAX_M``, which lifts (or lowers) the profile depth
-cap and lowers the depth allowed for achievable sets.
+Output is byte-stable for fixed inputs; no ``--seed`` means seed 0.
+JSON is what ``json.dumps(doc, sort_keys=True, indent=2)`` prints: keys
+sorted, two spaces per level, floats rounded to 12 significant digits,
+exact rationals as integers or ``"p/q"`` strings.  The environment
+only enters through ``DICHROMAT_MAX_M``, which lifts (or lowers) the
+profile depth cap and lowers the depth allowed for achievable sets.
 """
 
 from __future__ import annotations
@@ -193,7 +193,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--strategy", choices=sweepout.STRATEGIES, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--params", metavar="FILE")
-    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--seed", type=int, help="random-monotone seed; 0 when omitted (the JSON echoes null)"
+    )
     p.add_argument("--delta", type=float)
 
     p = sub.add_parser("export-dot", help="witness coloring as Graphviz DOT")

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bounds import a_of_m
 from .errors import (
@@ -60,9 +61,20 @@ _BLOCK_CELLS = 1 << 18  # cells of a row block; a block of one row may hold more
 _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
-_CSV_CHUNK = 1 << 19  # characters read and parsed per block by `trace_read_csv`
+# characters read and parsed per block by `trace_read_csv`; reading a 4 MB
+# text in blocks of 2**19 peaked 3 MB higher in RSS, as the byte route's
+# freed arrays stay in the heap, and saved only a few ms
+_CSV_CHUNK = 1 << 17
 # every character `str.splitlines` breaks a line at
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# the bytes of a block `trace_read_csv` parses as bytes (`_parse_bytes`), and
+# its least length: a shorter block costs less split into lines than the
+# byte route's few dozen array calls
+_CSV_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz:.,+-\n"
+_CSV_BYTES_MIN = 1 << 13
+_STEP_DIGITS = 18  # the longest step parsed from its digits; 10**18 < 2**63
+_FIELD_BYTES = 32  # the longest entry or volume field deduplicated by bytes
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], np.uint64)
 
 # (first step, sorted columns it touches, rows x touched values)
 Block = tuple[int, np.ndarray, np.ndarray]
@@ -476,12 +488,12 @@ def generate_trace(
 
     ``delta`` defaults to alpha/4, which keeps every strategy admissible.
     ``seed`` only affects ``random-monotone``; for a fixed seed the trace
-    is bit-for-bit reproducible.  Raises `CapacityError` before any
-    per-entry array exists when the cells one pass over the trace reads,
-    `_trace_cells` of `_trace_rows` rows counted from the four volume
-    classes, would exceed `TRACE_BYTES_CAP`.  The fills and uniform are
-    made block by block as they are read; random-monotone is a dense
-    table.
+    is bit-for-bit reproducible, and no seed means seed 0.  Raises
+    `CapacityError` before any per-entry array exists when the cells one
+    pass over the trace reads, `_trace_cells` of `_trace_rows` rows
+    counted from the four volume classes, would exceed
+    `TRACE_BYTES_CAP`.  The fills and uniform are made block by block as
+    they are read; random-monotone is a dense table.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -513,7 +525,7 @@ def generate_trace(
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
     # rows past the last one written are never touched, so never resident
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0 if seed is None else seed)
     steps = np.empty((rows, caps.size))
     steps[0] = 0.0
     last = 0
@@ -567,9 +579,10 @@ def _parse_record(line: str, col_of: dict[str, int]) -> tuple[int, int, float]:
     return step, col_of[ident], value
 
 
-def _csv_blocks(fh: IO[str]) -> Iterator[list[str]]:
-    """The lines ``fh.read().splitlines()`` would give, read and split a
-    block of `_CSV_CHUNK` characters at a time.
+def _csv_blocks(fh: IO[str]) -> Iterator[str]:
+    """The text of ``fh`` in blocks of whole lines, read `_CSV_CHUNK`
+    characters at a time; ``str.splitlines`` of the blocks gives the
+    lines of the whole text.
 
     A block's unfinished last line moves on to the next block, and so
     does a last line ended by ``\\r``, which may be half of ``\\r\\n``.
@@ -579,13 +592,148 @@ def _csv_blocks(fh: IO[str]) -> Iterator[list[str]]:
     carry = ""
     while block := fh.read(max(_CSV_CHUNK, len(carry))):
         text = carry + block
-        lines = text.splitlines()
-        tail = text[-1]
-        carry = ""
-        if tail == "\r" or tail not in _LINE_BREAKS:
-            carry = lines.pop() + ("\r" if tail == "\r" else "")
-        yield lines
-    yield carry.splitlines()
+        cut = len(text)
+        if text[-1] == "\r" or text[-1] not in _LINE_BREAKS:
+            # after the last line break, not counting a final "\r"
+            cut = 1 + max(text.rfind(c, 0, len(text) - 1) for c in _LINE_BREAKS)
+        carry = text[cut:]
+        yield text[:cut]
+    yield carry
+
+
+def _after_header(text: str) -> str:
+    """``text`` without its first line, which must be the header."""
+    end = len(_CSV_HEADER)
+    # the empty string after a header that ends the text is in any str
+    if not text.startswith(_CSV_HEADER) or text[end : end + 1] not in _LINE_BREAKS:
+        raise TraceError(f"missing '{_CSV_HEADER}' header")
+    return text[end + 2 :] if text[end : end + 2] == "\r\n" else text[end + 1 :]
+
+
+# (step, column, volume) of each record in a block
+Records = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _parse_bytes(text: str, col_of: dict[str, int]) -> tuple[int, Records] | None:
+    """The line count and records of a block, parsed as one byte array, or
+    None when the block takes the line route, `_parse_lines`.
+
+    A block qualifies when it is ASCII of `_CSV_BYTES` only, at least
+    `_CSV_BYTES_MIN` characters long, ends with ``\\n``, and every line is
+    a step of digits, an entry and a volume, three nonempty fields split
+    by two commas.  The step is read from its digits by array arithmetic,
+    up to `_STEP_DIGITS` of them.  Entries and volumes, up to
+    `_FIELD_BYTES` each, are deduplicated by their bytes, so each distinct
+    text gets one ``col_of`` lookup or one ``float``.  Those are the
+    lines, fields and values the line route reads.  Any other block, and
+    every block with an unknown entry or a non-finite volume, goes there,
+    and that route names the first bad line.
+    """
+    if len(text) < _CSV_BYTES_MIN or not text.endswith("\n") or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _CSV_BYTES):
+        return None
+    pad = _FIELD_BYTES  # zeros on each side, so every field window fits
+    buf = np.zeros(len(raw) + 2 * pad, np.uint8)
+    buf[pad:-pad] = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != 2 * ends.size:
+        return None
+    starts = np.concatenate(([pad], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    # with two commas a line on average, this puts two in every line,
+    # between three nonempty fields; a blank line fails it
+    if not ((starts < first) & (first + 1 < second) & (second + 1 < ends)).all():
+        return None
+    windows = as_strided(buf, (buf.size - pad, pad), (1, 1), writeable=False)
+    step = _digits(windows, starts, first)
+    entry = _distinct(windows, first + 1, second)
+    volume = _distinct(windows, second + 1, ends)
+    if step is None or entry is None or volume is None:
+        return None
+    try:
+        cols = np.array([col_of[ident.decode()] for ident in entry[0]], np.intp)
+        values = np.array(list(map(float, volume[0])), np.float64)
+    except (KeyError, ValueError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return ends.size, (step, cols[entry[1]], values[volume[1]])
+
+
+def _digits(windows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The fields ``[lo, hi)`` of a block as decimal int64, or None for a
+    field past `_STEP_DIGITS` bytes or with a byte that is not a digit.
+    ``windows[i]`` holds the block's bytes from ``i`` on; each field is
+    read right-aligned in one, the bytes before it taken as leading
+    zeros."""
+    width = hi - lo
+    w = int(width.max())
+    if w > _STEP_DIGITS:
+        return None
+    digits = windows[hi - w, :w]
+    digits[np.arange(w) < (w - width)[:, None]] = ord("0")
+    digits -= ord("0")  # a byte below "0" wraps past 9
+    if (digits > 9).any():
+        return None
+    return digits @ 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+
+
+def _distinct(
+    windows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[list[bytes], np.ndarray] | None:
+    """The distinct fields among ``[lo, hi)`` of a block and the index of
+    each field in that list, or None for a field past `_FIELD_BYTES`
+    bytes; ``windows[i]`` holds the block's bytes from ``i`` on.
+
+    Each field is zero-padded to whole 8-byte words; a field holds no
+    zero byte, so two fields are equal exactly when all their words are.
+    The rows of words are sorted and compared with their neighbours, so
+    no hash stands in for the bytes.
+    """
+    width = hi - lo
+    w = -(-int(width.max()) // 8) * 8
+    if w > _FIELD_BYTES:
+        return None
+    cells = windows[lo, :w]
+    words = cells.view("<u8")  # little-endian: a word's first byte is its lowest
+    words &= _LOW_BYTES[np.clip(width[:, None] - np.arange(0, w, 8), 0, 8)]
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    new = np.ones(order.size, bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    return cells[order[new]].view(f"S{w}")[:, 0].tolist(), index
+
+
+def _parse_lines(
+    lines: list[str], first_lineno: int, col_of: dict[str, int]
+) -> tuple[int, Records | None]:
+    """The line count and records of a block, split into ``lines``: every
+    text ``int``, ``col_of`` and ``float`` read, blank lines skipped.  The
+    records are None when a step index is past int64.  Raises `TraceError`
+    naming the first bad line."""
+    records = list(filter(str.strip, lines))
+    n = len(records)
+    try:
+        # columns parsed at C level; a failure goes to the line loop,
+        # which names the block's first bad line
+        if set(map(str.count, records, repeat(","))) - {2}:
+            raise ValueError("not three fields")
+        fields = ",".join(records).split(",")
+        step = np.fromiter(map(int, fields[0::3]), np.int64, n)
+        col = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp, n)
+        value = np.fromiter(map(float, fields[2::3]), np.float64, n)
+        if n and (step.min() < 0 or not np.isfinite(value).all()):
+            raise ValueError("negative step or non-finite volume")
+    except (ValueError, KeyError, OverflowError):
+        _raise_bad_line(lines, first_lineno, col_of)
+        # only a step index past int64 gets here; no such table is dense
+        return len(lines), None
+    return len(lines), (step, col, value)
 
 
 def _raise_bad_line(lines: list[str], first_lineno: int, col_of: dict[str, int]) -> None:
@@ -605,7 +753,13 @@ def trace_read_csv(
     Blank lines are skipped.  Every (step, entry) cell of a dense table
     must appear exactly once, in any order; a step index is a nonnegative
     integer and a volume a finite float.  The text is read and parsed a
-    block at a time, so besides the table only one block is held.
+    block of whole lines at a time, so besides the table only one block
+    is held.  A block takes one of two routes, chosen from its own text:
+    one of plain records in lowercase ASCII, ``\\n``-ended and at least
+    `_CSV_BYTES_MIN` characters long, is parsed as bytes (`_parse_bytes`);
+    any other, with whitespace, ``\\r``, ``_``, uppercase, non-ASCII
+    digits, blank lines or a bad record, is split into lines
+    (`_parse_lines`).  Both read the same table and give the same errors.
     """
     col_of = {ident: i for i, ident in enumerate(graph.entry_ids())}
     entries = len(col_of)
@@ -617,40 +771,25 @@ def trace_read_csv(
     own = isinstance(source, (str, Path))
     fh = open(source) if own else source
     try:
-        for lines in _csv_blocks(fh):
-            if lineno == 0 and lines:
-                if lines[0] != _CSV_HEADER:
-                    raise TraceError(f"missing '{_CSV_HEADER}' header")
-                del lines[0]
+        for text in _csv_blocks(fh):
+            if lineno == 0 and text:
+                text = _after_header(text)
                 lineno = 1
-            records = list(filter(str.strip, lines))
-            if not records:
-                lineno += len(lines)
+            if not text:
                 continue
-            n = len(records)
-            try:
-                # columns parsed at C level; a failure goes to the line
-                # loop, which names the block's first bad line
-                if set(map(str.count, records, repeat(","))) - {2}:
-                    raise ValueError("not three fields")
-                fields = ",".join(records).split(",")
-                step = np.fromiter(map(int, fields[0::3]), np.int64, n)
-                col = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp, n)
-                value = np.fromiter(map(float, fields[2::3]), np.float64, n)
-                del fields  # before the next block is read
-                if step.min() < 0 or not np.isfinite(value).all():
-                    raise ValueError("negative step or non-finite volume")
-            except (ValueError, KeyError, OverflowError):
-                _raise_bad_line(lines, lineno + 1, col_of)
-                # only a step index past int64 gets here; no such table is dense
+            count, records = _parse_bytes(text, col_of) or _parse_lines(
+                text.splitlines(), lineno + 1, col_of
+            )
+            lineno += count
+            if records is None:
                 dense = False
-            else:
+            elif records[0].size:
+                step, col, value = records
                 rows = max(rows, int(step.max()) + 1)
                 step *= entries
                 step += col
                 flats.append(step)
                 values.append(value)
-            lineno += len(lines)
     finally:
         if own:
             fh.close()

@@ -126,6 +126,19 @@ def test_sweepout_seeded_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_sweepout_unseeded_is_seed_zero(capsys):
+    # no --seed draws the seed-0 trace; only the echoed "seed" differs
+    args = ("sweepout", "--strategy", "random-monotone", "-m", "3")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
+    code0, out0, _ = run(capsys, *args, "--seed", "0")
+    assert code1 == code2 == code0 == 0
+    assert out1 == out2
+    assert '"seed": null' in out1
+    assert out1.replace('"seed": null', '"seed": 0') == out0
+    assert json.loads(out1) == {**json.loads(out0), "seed": None}
+
+
 def test_params_file_flows_through(capsys, schema, tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("V0 = 20\nmu = 1\ntau = 3/2\nalpha = 3\nrel_isop_C = 2\n")

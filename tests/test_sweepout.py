@@ -72,6 +72,10 @@ def test_random_monotone_seed_determinism(params):
     c = generate_trace("random-monotone", 3, params, seed=100)
     assert np.array_equal(a.steps, b.steps)
     assert not np.array_equal(a.steps, c.steps)
+    unseeded = generate_trace("random-monotone", 3, params)  # seed 0
+    assert unseeded.steps.tobytes() == generate_trace(
+        "random-monotone", 3, params, seed=0
+    ).steps.tobytes()
 
 
 def test_generate_rejects_bad_input(params):
@@ -679,6 +683,30 @@ def _read_lines(lines, trace):
     return trace_read_csv(io.StringIO("\n".join(lines) + "\n"), trace.graph, trace.step_bound)
 
 
+# a step text from the line's own step text
+_STEP_TEXTS = {
+    "negative_step": lambda step: "-1",
+    "bad_step": lambda step: "x",
+    "huge_step": lambda step: "9" * 20,
+    "spaced_step": lambda step: f" {step} ",
+    "empty_step": lambda step: "",
+    "zero_step": lambda step: f"0{step}",
+    "plus_step": lambda step: f"+{step}",
+    "digits_18": lambda step: step.zfill(18),
+    "digits_19": lambda step: step.zfill(19),
+    "digits_20": lambda step: step.zfill(20),
+    "huge_18": lambda step: "9" * 18,  # fits int64
+    "huge_19": lambda step: "9" * 19,  # past int64
+    "underscore_step": lambda step: "1_0",
+    "arabic_step": lambda step: step.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+_VOLUME_TEXTS = {
+    "nan": "nan", "inf": "inf", "bad_volume": "1.0.0", "exp_volume": "1e-05",
+    "subnormal_volume": "5e-324", "upper_exp_volume": "1E-05", "underscore_volume": "1_0",
+    "empty_volume": "",
+}
+
+
 def _mutated(lines, kind, i):
     """``lines`` with one line-level change at line ``i``."""
     lines = list(lines)
@@ -697,16 +725,18 @@ def _mutated(lines, kind, i):
         lines[i] = lines[i].rpartition(",")[0]
     elif kind == "four_fields":
         lines[i] += ",0"
-    elif kind in ("negative_step", "bad_step", "huge_step", "spaced_step"):
-        new = {"negative_step": "-1", "bad_step": "x", "huge_step": "9" * 20,
-               "spaced_step": f" {step} "}[kind]
-        lines[i] = f"{new},{rest}"
+    elif kind in _STEP_TEXTS:
+        lines[i] = f"{_STEP_TEXTS[kind](step)},{rest}"
     elif kind == "extra_huge_step":
         lines.insert(i, f"{'9' * 20},{rest}")
     elif kind == "bad_entry":
         lines[i] = f"{step},node:0,1.0"
-    elif kind in ("nan", "inf", "bad_volume"):
-        lines[i] = lines[i].rpartition(",")[0] + "," + {"bad_volume": "1.0.0"}.get(kind, kind)
+    elif kind == "empty_entry":
+        lines[i] = f"{step},,{rest.partition(',')[2]}"
+    elif kind == "zero_entry":
+        lines[i] = f"{step},{rest.replace(':', ':0', 1)}"  # node:01 for node:1
+    elif kind in _VOLUME_TEXTS:
+        lines[i] = lines[i].rpartition(",")[0] + "," + _VOLUME_TEXTS[kind]
     elif kind in ("\x0c", "\x1c", "\x85", "\u2028"):
         lines[i] = lines[i][:3] + kind + lines[i][3:]  # a line break inside a record
     return lines
@@ -714,8 +744,8 @@ def _mutated(lines, kind, i):
 
 _LINE_MUTATIONS = (
     "drop", "duplicate", "swap", "blank", "spaces", "two_fields", "four_fields",
-    "negative_step", "bad_step", "huge_step", "extra_huge_step", "spaced_step",
-    "bad_entry", "nan", "inf", "bad_volume", "\x0c", "\x1c", "\x85", "\u2028",
+    "extra_huge_step", "bad_entry", "empty_entry", "zero_entry", *_STEP_TEXTS, *_VOLUME_TEXTS,
+    "\x0c", "\x1c", "\x85", "\u2028",
 )
 
 
@@ -740,8 +770,15 @@ def test_csv_reader_matches_whole_text_oracle(data, params):
     newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
     block = data.draw(st.sampled_from([1, 2, 3, 17, 256, sweepout._CSV_CHUNK]))
+    # 0 sends every plain block, however short, through the byte route
+    bytes_min = data.draw(st.sampled_from([0, sweepout._CSV_BYTES_MIN]))
+    _assert_read_matches_oracle(text, trace, block, bytes_min)
+
+
+def _assert_read_matches_oracle(text, trace, block, bytes_min):
     expect = _read_outcome(read_csv_whole, text, trace.graph.tree.node_count)
-    with mock.patch.object(sweepout, "_CSV_CHUNK", block):
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
+            mock.patch.object(sweepout, "_CSV_BYTES_MIN", bytes_min):
         got = _read_outcome(trace_read_csv, io.StringIO(text), trace.graph, trace.step_bound)
     if got[0] == "ok":
         got = "ok", got[1].steps
@@ -750,6 +787,63 @@ def test_csv_reader_matches_whole_text_oracle(data, params):
         assert got[1].tobytes() == expect[1].tobytes()
     else:
         assert got[1] == expect[1]
+
+
+@pytest.mark.parametrize("kind", _LINE_MUTATIONS)
+@pytest.mark.parametrize("block", [256, sweepout._CSV_CHUNK])
+def test_csv_each_mutation_matches_oracle(kind, block, params):
+    # every mutation once, near the start and at the last line, on both routes
+    trace = generate_trace("dfs-fill", 2, params)
+    lines = _csv_lines(trace)
+    for i in (5, len(lines) - 1):
+        text = "\n".join(_mutated(lines, kind, i)) + "\n"
+        for bytes_min in (0, sweepout._CSV_BYTES_MIN):
+            _assert_read_matches_oracle(text, trace, block, bytes_min)
+
+
+_VOLUME_HEADS = ["0.", "1.", "1.000000", "1.00000000000000", "1.0000000000000000000000"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    heads=st.lists(st.sampled_from(_VOLUME_HEADS), min_size=1, max_size=8),
+    tails=st.lists(st.text("0123456789", max_size=8), min_size=1, max_size=8),
+)
+def test_csv_volume_texts_dedupe_by_every_byte(heads, tails, params):
+    # volume texts of up to 32 bytes that share their first 8, 16 or 24
+    # bytes and differ after, or differ only in length
+    trace = generate_trace("uniform", 1, params)
+    lines = _csv_lines(trace)
+    for i in range(1, len(lines)):
+        volume = heads[i % len(heads)] + tails[i % len(tails)]
+        lines[i] = f"{lines[i].rpartition(',')[0]},{volume}"
+    _assert_read_matches_oracle("\n".join(lines) + "\n", trace, sweepout._CSV_CHUNK, 0)
+
+
+@pytest.mark.parametrize("block", [1 << 14, sweepout._CSV_CHUNK])
+def test_csv_byte_route_reads_a_fill_alone(block, params):
+    # the m = 5 round trip never needs the line route
+    trace = generate_trace("dfs-fill", 5, params)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    refuse = mock.Mock(side_effect=AssertionError("line route taken"))
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
+            mock.patch.object(sweepout, "_parse_lines", refuse):
+        back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
+    assert back.steps.tobytes() == trace.steps.tobytes()
+    assert not refuse.called
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "random-monotone"])
+@pytest.mark.parametrize("block", [17, 256, 1 << 14, sweepout._CSV_CHUNK])
+def test_csv_round_trip_of_rarely_repeating_volumes(strategy, block, params):
+    # few volume texts repeat, and lines straddle blocks at every size
+    trace = generate_trace(strategy, 5, params, seed=4)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block):
+        back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
+    assert back.steps.tobytes() == trace.steps.tobytes()
 
 
 @pytest.mark.parametrize("block", [17, sweepout._CSV_CHUNK])
@@ -775,7 +869,8 @@ def test_csv_bad_header_matches_oracle(header, params):
 
 
 def test_csv_read_memory_is_bounded(params):
-    # the whole text held as one str and one str per line peaked at 33 MiB
+    # the whole text held as one str and one str per line peaked at 33 MiB;
+    # blocks of 2**19 split into lines peaked at 9.5 MiB, 2**17 parsed as bytes at 7.3
     trace = generate_trace("dfs-fill", 5, params)
     buf = io.StringIO()
     trace_write_csv(trace, buf)
@@ -787,6 +882,22 @@ def test_csv_read_memory_is_bounded(params):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.steps, trace.steps)
+    assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_csv_read_memory_is_bounded_for_other_line_ends(newline, params):
+    # such blocks take the line route, and a last line ended by "\r" moves
+    # on alone, not with the whole text before it
+    trace = generate_trace("dfs-fill", 5, params)
+    source = io.StringIO(newline.join(_csv_lines(trace)) + newline)
+    tracemalloc.start()
+    try:
+        back = trace_read_csv(source, trace.graph, trace.step_bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.steps.tobytes() == trace.steps.tobytes()
     assert peak < 16 * 2**20, peak
 
 
