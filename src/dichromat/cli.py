@@ -80,12 +80,22 @@ def _write_json(value: Any, out: list[str], pad: str) -> None:
     ``pad`` as its enclosing indent, to ``out``.
 
     The text is byte for byte what ``json.dumps(..., sort_keys=True,
-    indent=2)`` writes.  A list of plain ints is one join, and a list of
-    equal-length plain-int lists one ``%`` over a row template; every
-    other scalar goes through ``json.dumps`` on its own.
+    indent=2)`` writes, with an ndarray written as its ``tolist()``.  A
+    list of plain ints (a 1-D integer array is one) is one join, and a
+    2-D integer array one ``%`` over a row template; every other scalar
+    goes through ``json.dumps`` on its own.
     """
     inner = pad + "  "
-    if isinstance(value, dict):
+    sep = ",\n" + inner
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu" or value.ndim != 2 or not value.size:
+            _write_json(value.tolist(), out, pad)
+            return
+        cell = ",\n" + inner + "  "
+        row = "[" + cell[1:] + cell.join(["%d"] * value.shape[1]) + "\n" + inner + "]"
+        out += ("[\n", inner, sep.join([row] * len(value)) % tuple(value.ravel().tolist()))
+        out += ("\n", pad, "]")
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -98,25 +108,13 @@ def _write_json(value: Any, out: list[str], pad: str) -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-            return
-        sep = ",\n" + inner
-        kinds = set(map(type, value))
-        if kinds == {int}:
+        elif set(map(type, value)) == {int}:
             out += ("[\n", inner, sep.join(map(str, value)), "\n", pad, "]")
-            return
-        if kinds <= {list, tuple} and len(widths := set(map(len, value))) == 1:
-            flat = [x for row in value for x in row]
-            width = widths.pop()
-            if width and set(map(type, flat)) == {int}:
-                cell = ",\n" + inner + "  "
-                row = "[" + cell[1:] + cell.join(["%d"] * width) + "\n" + inner + "]"
-                out += ("[\n", inner, sep.join([row] * len(value)) % tuple(flat))
-                out += ("\n", pad, "]")
-                return
-        for i, item in enumerate(value):
-            out.append(sep if i else "[\n" + inner)
-            _write_json(item, out, inner)
-        out.append("\n" + pad + "]")
+        else:
+            for i, item in enumerate(value):
+                out.append(sep if i else "[\n" + inner)
+                _write_json(item, out, inner)
+            out.append("\n" + pad + "]")
     else:
         out.append(_scalar_json(value))
 
@@ -145,23 +143,32 @@ def _env_cap() -> int | None:
 
 
 def render_dot(coloring: Coloring) -> str:
-    """Graphviz DOT: black nodes filled, dichromatic edges bold."""
+    """Graphviz DOT: black nodes filled, dichromatic edges bold.
+
+    One line per node, then one per heap edge ``parent -- child``.  The
+    text is one join over the node names, each made once, and a line end
+    per line picked by its style from a two-entry array, so the cost does
+    not depend on how often the colors change.
+    """
     bits = coloring.bits
-    children = np.arange(2, bits.size + 1)
-    hot = bits[children - 1] != bits[children // 2 - 1]
-    node_style = ("", " [fillcolor=black, fontcolor=white]")
-    edge_style = ("", " [style=bold, penwidth=2.5]")
-    lines = [
-        "graph dichromat {",
-        "  node [shape=circle, style=filled, fillcolor=white];",
-    ]
-    lines += [f"  {node}{node_style[c]};" for node, c in enumerate(bits.tolist(), 1)]
-    lines += [
-        f"  {child // 2} -- {child}{edge_style[h]};"
-        for child, h in enumerate(hot.tolist(), 2)
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    n = bits.size
+    names = list(map(str, range(n + 1)))
+    hot = bits[1:] ^ np.repeat(bits[: n // 2], 2)  # child c's edge at c - 2
+    node_end = np.array([";\n  ", " [fillcolor=black, fontcolor=white];\n  "], dtype=object)
+    edge_end = np.array([";\n  ", " [style=bold, penwidth=2.5];\n  "], dtype=object)
+    parts = [""] * (6 * n - 3)
+    parts[0] = "graph dichromat {\n  node [shape=circle, style=filled, fillcolor=white];\n  "
+    parts[1 : 2 * n : 2] = names[1:]
+    parts[2 : 2 * n + 1 : 2] = node_end[bits].tolist()
+    # four parts per edge: parent, " -- ", child, line end; children
+    # 2i and 2i + 1 share the parent i
+    e = 2 * n + 1
+    parts[e::8] = parts[e + 4 :: 8] = names[1 : n // 2 + 1]
+    parts[e + 1 :: 4] = [" -- "] * (n - 1)
+    parts[e + 2 :: 4] = names[2:]
+    parts[e + 3 :: 4] = edge_end[hot].tolist()
+    parts[-1] = parts[-1][:-2] + "}\n"  # the last line end indents no next line
+    return "".join(parts)
 
 
 def _build_parser() -> _Parser:
@@ -194,7 +201,10 @@ def _build_parser() -> _Parser:
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--params", metavar="FILE")
     p.add_argument(
-        "--seed", type=int, help="random-monotone seed; 0 when omitted (the JSON echoes null)"
+        "--seed",
+        type=int,
+        help="random-monotone seed, >= 0; 0 when omitted (the JSON echoes null); "
+        "other strategies ignore it",
     )
     p.add_argument("--delta", type=float)
 
@@ -215,22 +225,14 @@ def _cmd_profile(args: argparse.Namespace, cap: int | None) -> int:
     profile = (dp.node_profile if args.kind == "node" else dp.leaf_profile)(
         args.m, cap=cap
     )
+    counts = profile.index_range
+    rows = np.column_stack((np.arange(counts.start, counts.stop), profile.min_d))
     if args.format == "csv":
         label = "b" if args.kind == "node" else "t"
-        flat = [0] * (2 * len(profile.index_range))
-        flat[0::2] = profile.index_range
-        flat[1::2] = profile.min_d.tolist()
-        body = "\n".join(["%d,%d"] * len(profile.index_range)) % tuple(flat)
+        body = "\n".join(["%d,%d"] * len(rows)) % tuple(rows.ravel().tolist())
         sys.stdout.write(f"{label},min_d\n{body}\n")
     else:
-        _emit_json(
-            {
-                "command": "profile",
-                "kind": args.kind,
-                "m": args.m,
-                "profile": [[i, v] for i, v in profile.items()],
-            }
-        )
+        _emit_json({"command": "profile", "kind": args.kind, "m": args.m, "profile": rows})
     return EXIT_OK
 
 
@@ -315,6 +317,7 @@ def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
     certificate = sweepout.certify(trace)
     paper = metric.paper_width_bound(args.m, params)
     meets = certificate.certified_area >= paper
+    children = certificate.sandwich_regions.children
     _emit_json(
         {
             "command": "sweepout",
@@ -324,8 +327,8 @@ def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
             "delta": trace.step_bound,
             "steps": trace.shape[0],
             "t0": certificate.t0,
-            "black_nodes": certificate.coloring.black_nodes(),
-            "sandwich_pairs": [list(pair) for pair in certificate.sandwich_regions],
+            "black_nodes": np.flatnonzero(certificate.coloring.bits) + 1,
+            "sandwich_pairs": np.column_stack((children // 2, children)),
             "disjoint_count": certificate.disjoint_count,
             "certified_area": certificate.certified_area,
             "paper_bound": paper,
@@ -341,7 +344,13 @@ def _cmd_export_dot(args: argparse.Namespace, cap: int | None) -> int:
         raise InvalidParameterError(
             f"--witness must look like b=K or t=K, got {args.witness!r}"
         )
-    which, index = match.group(1), int(match.group(2))
+    which, digits = match.groups()
+    try:
+        index = int(digits)
+    except ValueError:  # past the interpreter's int-digit limit
+        raise InvalidParameterError(
+            f"--witness index has {len(digits)} digits, too many for a count"
+        ) from None
     profile = (dp.node_profile if which == "b" else dp.leaf_profile)(args.m, cap=cap)
     coloring = dp.witness(profile, index)
     sys.stdout.write(render_dot(coloring))

@@ -30,9 +30,11 @@ The achievable-set table F[d, b] stops at a depth ``max_d``: merging
 only adds dichromatic edges, so rows past ``max_d`` never feed rows at
 or below it, and every merge cuts them off.
 
-`witness` walks the per-depth tables back down one level at a time: all
-nodes of a depth choose their child colors and budget split together,
-from a (nodes x left budget) table of candidate costs.
+`witness` walks the per-depth tables back down one level at a time.  A
+node's choice of child colors and budget split depends only on its
+depth, color and budget, so each level solves it once per distinct
+(color, budget) state, from a (states x left budget) table of candidate
+costs, and every node reads the choice of its state.
 
 Caps keep accidental exponential-memory requests out: profiles default to
 depth 14, and achievable-set tables to `PAIRS_CELLS_CAP` cells:
@@ -235,8 +237,10 @@ def witness(profile: DpProfile, index: int) -> Coloring:
     Ties are broken deterministically toward the lexicographically
     smallest bit vector: white root first, then white left child, white
     right child, then the smallest left-subtree budget.  The coloring is
-    rebuilt one depth at a time, every node of a level at once, and is
-    re-verified against `count_dichromatic` before it is returned.
+    rebuilt one depth at a time: the split is solved once per distinct
+    (color, budget) state of the level, which the nodes share, then
+    scattered to the nodes.  It is re-verified against
+    `count_dichromatic` before it is returned.
     """
     target = profile[index]
     tables = profile.witness_seed
@@ -244,10 +248,12 @@ def witness(profile: DpProfile, index: int) -> Coloring:
     tree = build_tree(m)
     bits = np.zeros(tree.node_count, dtype=np.uint8)
 
+    # the distinct (color, budget) states of a level, and each node's state
     color = np.array([WHITE if tables[0][index] == target else BLACK])
     budget = np.array([index])
+    state = np.zeros(1, dtype=np.intp)
     for depth in range(m + 1):
-        bits[2**depth - 1 : 2 ** (depth + 1) - 1] = color
+        bits[2**depth - 1 : 2 ** (depth + 1) - 1] = color[state]
         if depth == m:
             break
         row = tables[depth]  # a black root reads it mirrored
@@ -255,7 +261,7 @@ def witness(profile: DpProfile, index: int) -> Coloring:
         child = (tables[depth + 1], tables[depth + 1][::-1])  # white, black root
         width = child[WHITE].size
         rem = budget - color if profile.kind == NODE else budget
-        # one row per node, one column per left budget b1; the right
+        # one row per state, one column per left budget b1; the right
         # subtree gets rem - b1, and splits out of range cost inf
         right_budget = rem[:, None] - np.arange(width)
         valid = (right_budget >= 0) & (right_budget < width)
@@ -277,8 +283,12 @@ def witness(profile: DpProfile, index: int) -> Coloring:
                 left_budget[hit] = total[hit].argmin(axis=1)
         if (left_color < 0).any():
             raise DichromatError("internal error: witness split not found")
-        color = np.stack([left_color, right_color], axis=1).ravel()
-        budget = np.stack([left_budget, rem - left_budget], axis=1).ravel()
+        # child states in (state, side) order; node 2i + side takes the
+        # child state of node i's state on that side
+        sides = [left_budget * 2 + left_color, (rem - left_budget) * 2 + right_color]
+        keys, inverse = np.unique(np.stack(sides, axis=1), return_inverse=True)
+        color, budget = keys & 1, keys >> 1
+        state = inverse.reshape(-1, 2)[state].ravel()
 
     coloring = coloring_from_bits(tree, bits)
     achieved, _ = count_dichromatic(coloring)

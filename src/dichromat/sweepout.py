@@ -487,11 +487,12 @@ def generate_trace(
     """Build a valid trace; see `STRATEGIES` for the fill orders.
 
     ``delta`` defaults to alpha/4, which keeps every strategy admissible.
-    ``seed`` only affects ``random-monotone``; for a fixed seed the trace
-    is bit-for-bit reproducible, and no seed means seed 0.  Raises
-    `CapacityError` before any per-entry array exists when the cells one
-    pass over the trace reads, `_trace_cells` of `_trace_rows` rows
-    counted from the four volume classes, would exceed
+    ``seed`` only affects ``random-monotone``, where it must be >= 0
+    (`InvalidParameterError` otherwise, before any per-entry array); for
+    a fixed seed the trace is bit-for-bit reproducible, and no seed means
+    seed 0.  Raises `CapacityError` before any per-entry array exists
+    when the cells one pass over the trace reads, `_trace_cells` of
+    `_trace_rows` rows counted from the four volume classes, would exceed
     `TRACE_BYTES_CAP`.  The fills and uniform are made block by block as
     they are read; random-monotone is a dense table.
     """
@@ -499,6 +500,8 @@ def generate_trace(
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
         )
+    if strategy == "random-monotone" and seed is not None and seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     graph = region_graph(m, params)
     if delta is None:
         delta = float(params.alpha) / 4

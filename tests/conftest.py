@@ -144,6 +144,43 @@ def witness_loop(tables, kind: str, m: int, index: int) -> np.ndarray:
     return bits
 
 
+# popcount of every byte value
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def naf_weight(n: np.ndarray) -> np.ndarray:
+    """Nonzero digits of the non-adjacent form (NAF) of each n >= 0:
+    popcount(((3n) ^ n) >> 1), counted one byte at a time."""
+    x = (((3 * n) ^ n) >> 1).astype("<u8")
+    return _BYTE_POPCOUNT[x.view(np.uint8).reshape(-1, 8)].sum(axis=1, dtype=np.int64)
+
+
+def leaf_profile_naf(m: int) -> np.ndarray:
+    """The leaf profile at t = 0..2**m as min(naf(t), naf(2**m - t)),
+    with no dynamic program.  A coloring with d dichromatic edges writes
+    t or 2**m - t as a signed sum of d leaf-subtree sizes 2**j, so d is at
+    least that naf weight; that the bound is met is measured (the tests
+    check every m <= 18), not proved."""
+    t = np.arange(2**m + 1, dtype=np.int64)
+    return np.minimum(naf_weight(t), naf_weight(2**m - t))
+
+
+def render_dot_lines(coloring: Coloring) -> str:
+    """Graphviz DOT of a coloring built one formatted line at a time:
+    every node, then every heap edge parent -- child; black nodes filled,
+    dichromatic edges bold."""
+    bits = coloring.bits.tolist()
+    lines = ["graph dichromat {", "  node [shape=circle, style=filled, fillcolor=white];"]
+    for node, color in enumerate(bits, 1):
+        lines.append(f"  {node} [fillcolor=black, fontcolor=white];" if color else f"  {node};")
+    for child in range(2, len(bits) + 1):
+        bold = bits[child - 1] != bits[child // 2 - 1]
+        style = " [style=bold, penwidth=2.5]" if bold else ""
+        lines.append(f"  {child // 2} -- {child}{style};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def node_volumes_of(graph) -> list:
     """Per-node region volumes, heap-ordered: V0 less mu per incident edge,
     from the parameters and ``tree.degree`` alone."""

@@ -21,8 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import dichromat
 from dichromat import BoundReport
+from dichromat import all_black, all_white, build_tree, coloring_from_bits
 from dichromat import bounds, cli, dp, metric, sweepout
-from conftest import json_dumps_indented
+from conftest import json_dumps_indented, render_dot_lines
 
 SRC = str(Path(dichromat.__file__).resolve().parents[1])
 WIDE_PARAMS = str(Path(__file__).resolve().parents[1] / "perfbench" / "params" / "wide.params")
@@ -183,6 +184,33 @@ def test_export_dot_bad_witness_syntax(capsys):
     code, _, err = run(capsys, "export-dot", "-m", "2", "--witness", "q=1")
     assert code == 1
     assert "witness" in err
+
+
+def test_export_dot_oversized_witness_index_exits_1(capsys):
+    # past Python's int-digit limit int() raises; the CLI names --witness
+    code, out, err = run(capsys, "export-dot", "-m", "2", "--witness", "b=" + "9" * 5000)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("dichromat: invalid input: --witness") and "5000 digits" in err
+
+
+def test_negative_seed_exits_1_before_any_region(capsys, monkeypatch):
+    def no_regions(*args, **kwargs):
+        raise AssertionError("region graph built for a refused seed")
+
+    monkeypatch.setattr(sweepout, "region_graph", no_regions)
+    code, out, err = run(capsys, "sweepout", "--strategy", "random-monotone", "-m", "3",
+                         "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "dichromat: invalid input: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill", "uniform"])
+def test_negative_seed_ignored_by_other_strategies(capsys, strategy):
+    code, out, err = run(capsys, "sweepout", "--strategy", strategy, "-m", "3", "--seed", "-1")
+    assert code == 0, err
+    assert json.loads(out)["seed"] == -1
 
 
 def test_usage_error_exit_1(capsys):
@@ -399,6 +427,59 @@ def test_emit_json_equals_dumps_oracle(payload):
 @example(payload={1.5: 0, None: 1, True: 2, 7: 3})
 def test_emit_json_odd_keys_and_type_errors_match_oracle(payload):
     assert _emitted(payload) == _oracle(payload)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+@pytest.mark.parametrize(
+    "shape", [(0,), (5,), (0, 2), (3, 0), (4, 2), (1, 3), (2, 2, 2)], ids=str
+)
+def test_emit_json_integer_arrays_equal_tolist_oracle(dtype, shape):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(sum(shape) + info.bits)
+    x = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+    x.flat[:2] = (info.min, info.max)[: x.size]  # both extremes, negative where signed
+    payload = {"x": x, "nested": {"rows": [x, x.T]}, "last": x}
+    want = {"x": x.tolist(), "nested": {"rows": [x.tolist(), x.T.tolist()]}, "last": x.tolist()}
+    assert _emitted(payload) == json_dumps_indented(want)
+
+
+def test_emit_json_bool_and_float_arrays_keep_their_json():
+    flags = np.array([[True, False], [False, True]])
+    floats = np.array([1 / 3, 0.1, 2.5e16, -0.0])
+    out = _emitted({"flags": flags, "floats": floats})
+    assert out == json_dumps_indented({"flags": flags.tolist(), "floats": floats.tolist()})
+    assert out.count("true") == out.count("false") == 2
+    assert "0.333333333333" in out and "0.3333333333333" not in out
+
+
+def test_render_dot_equals_lines_oracle_every_witness_m6():
+    for m in range(1, 7):
+        for prof in (dp.node_profile(m), dp.leaf_profile(m)):
+            for index in prof.index_range:
+                coloring = dp.witness(prof, index)
+                assert cli.render_dot(coloring) == render_dot_lines(coloring), (m, index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.5, 0.98]))
+def test_render_dot_equals_lines_oracle_random(m, seed, p):
+    tree = build_tree(m)
+    bits = np.random.default_rng(seed).random(tree.node_count) < p
+    coloring = coloring_from_bits(tree, bits)
+    assert cli.render_dot(coloring) == render_dot_lines(coloring)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 14])
+def test_render_dot_equals_lines_oracle_uniform_colorings(m):
+    tree = build_tree(m)
+    for coloring in (all_white(tree), all_black(tree)):
+        assert cli.render_dot(coloring) == render_dot_lines(coloring)
+
+
+def test_render_dot_equals_lines_oracle_random_m14():
+    tree = build_tree(14)
+    coloring = coloring_from_bits(tree, np.random.default_rng(14).integers(0, 2, tree.node_count))
+    assert cli.render_dot(coloring) == render_dot_lines(coloring)
 
 
 def _count_leaf_profile_calls(monkeypatch) -> list[int]:

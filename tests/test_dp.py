@@ -1,6 +1,7 @@
 """The dynamic programs against the brute-force oracle, plus their own
 structural guarantees (witness validity, capacity limits, matching)."""
 
+import time
 from itertools import islice
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     brute_max_matching,
     convolve2d_bigint,
     feasible_pairs_bigint,
+    leaf_profile_naf,
     minplus_self_loop,
     profile_tables_two_color,
     random_coloring,
@@ -126,6 +128,11 @@ def test_witness_equals_loop_oracle(build, m):
         (node_profile, 27829),
         (leaf_profile, 5461),
         (leaf_profile, 11721),
+        # the extreme indices: one black node, all black, no and all black leaves
+        (node_profile, 1),
+        (node_profile, 2**15 - 1),
+        (leaf_profile, 0),
+        (leaf_profile, 2**14),
     ],
 )
 def test_witness_equals_loop_oracle_m14(build, index):
@@ -133,6 +140,18 @@ def test_witness_equals_loop_oracle_m14(build, index):
     seed = [np.stack([w, w[::-1]]) for w in prof.witness_seed]
     want = witness_loop(seed, prof.kind, 14, index)
     assert np.array_equal(witness(prof, index).bits, want)
+
+
+def test_leaf_profile_equals_naf_oracle():
+    # min(naf(t), naf(2**m - t)) from bit arithmetic alone, against the
+    # FFT min-plus DP at every depth up to 18 (0.3 s for the DP at m = 18)
+    start = time.perf_counter()
+    for m in range(1, 19):
+        np.testing.assert_array_equal(
+            leaf_profile(m, cap=18).min_d, leaf_profile_naf(m), err_msg=f"m={m}"
+        )
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"leaf profiles m <= 18 took {elapsed:.1f} s"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
