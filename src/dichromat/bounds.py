@@ -14,6 +14,7 @@ import numpy as np
 
 from .dp import feasible_pairs, leaf_profile, node_profile, pairs_depth_limit
 from .errors import InvalidParameterError
+from .tree import check_depth
 
 VERIFY_KINDS = ("lemma22", "thm27", "lipschitz_node", "lipschitz_leaf", "cor25")
 
@@ -29,15 +30,13 @@ def a_of_m(m: int) -> int:
     up to 2**(m-2).  Satisfies a(m) - 1 == 2 * (a(m-1) - (m % 2 == 0)) for
     m >= 3, and 1 <= a(m) <= 2**m.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     return (2**m - (-1) ** m) // 3
 
 
 def theorem_leaf_bound(m: int) -> int:
     """ceil(m/2): the guaranteed dichromatic count at exactly a(m) black leaves."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     return (m + 1) // 2
 
 
@@ -51,8 +50,7 @@ def lemma_cardinality_bound(m: int, d: int) -> int:
 
 def lemma22_depth(m: int) -> int:
     """D*(m): the smallest d with 2**d * m**d >= 2**(m+1) - 1, the node count."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     nodes, d = 2 ** (m + 1) - 1, 0
     while lemma_cardinality_bound(m, d) < nodes:
         d += 1

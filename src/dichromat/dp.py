@@ -1,34 +1,27 @@
 """Exact dynamic programs over full binary trees.
 
 All subtrees rooted at the same depth are isomorphic, so every DP here
-computes one table per depth instead of one per node.  A table at depth
-``k`` maps a count to the optimum inside one depth-``k`` subtree with a
-white root; merging two copies of the depth ``k+1`` table produces depth
-``k``.  The count coordinate is the number of black nodes for the node
-profile and the number of black leaves for the leaf profile (and the
-achievable-set table adds a dichromatic-count axis).  Swapping every
-color keeps the dichromatic count and maps a count v to size - v, so
-both programs keep only the white-root table and read the black-root
-one as its mirror along the count axis.
+builds one table per depth instead of one per node: a boolean [d, v]
+table saying that some coloring of a depth-``k`` subtree with a white
+root has d dichromatic edges and count v (black nodes for the node
+profile and achievable sets, black leaves for the leaf profile).
+Swapping every color keeps d and maps v to size - v, so the black-root
+table is read as the mirror of the white-root one.
 
-Unreachable states carry ``numpy.inf`` rather than a large integer, so no
-arithmetic on the sentinel can overflow or masquerade as a real count.
-
-Both programs merge two children with one primitive, the support of the
-2-D self-convolution of a 0/1 table: the achievable-set program on
-(dichromatic count, black count) tables, the profile program on
-(attach cost, count) indicators, where the lowest cost row hit at a count
-is the min-plus value there.  Both tables are wide, so a real FFT runs
-along the columns, zero padded to the next 2**a * 3**b * 5**c, and the
-output rows come out one at a time, in order, each summed over each
-unordered pair of input rows once.  Before it is cropped and thresholded,
-every row must lie within 0.25 of an integer vector, or `DichromatError`
-is raised.  Each caller stops at the last row it reads: the min-plus
-step once every count has a value, the achievable-set step at ``max_d``.
-
-The achievable-set table F[d, b] stops at a depth ``max_d``: merging
-only adds dichromatic edges, so rows past ``max_d`` never feed rows at
-or below it, and every merge cuts them off.
+Both programs climb with one level merge, `_merge_level`: extend the
+child table with its mirror shifted down one d row, then take the
+support of its 2-D self-convolution.  A real FFT runs along the wide
+count axis, zero padded to the next 2**a * 3**b * 5**c, and the output
+rows come out one at a time, in order, each summed over each unordered
+pair of input rows once.  Before it is thresholded, every row must lie
+within 0.25 of an integer vector, or `DichromatError` is raised.  Only
+the stop differs.  A profile value at v is the first row holding v, so
+a profile level cuts the extended table and the merged one at the first
+row by which every count has been hit: later rows hold no first hit,
+at that level or above.  The achievable-set table F[d, b] stops at
+``max_d``: merging only adds dichromatic edges, so rows past it never
+feed rows at or below it.  Unreachable profile values are ``numpy.inf``,
+never a large integer that arithmetic could overflow into a real count.
 
 `witness` walks the per-depth tables back down one level at a time.  A
 node's choice of child colors and budget split depends only on its
@@ -48,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -58,8 +51,9 @@ from .tree import (
     WHITE,
     Coloring,
     EdgeSet,
-    build_tree,
     black_counts,
+    build_tree,
+    check_depth,
     coloring_from_bits,
     count_dichromatic,
     max_matching,
@@ -70,7 +64,7 @@ DEFAULT_PROFILE_CAP = 14
 # Largest F[d, b] table `_feasible_pairs` may build, in cells.  A
 # one-row table costs the most per cell (the spectrum row and the
 # inverse-transform buffers span the whole b axis); the largest legal one,
-# m = 22 at d = 0, peaks at 367 MB resident (numpy 2.4, x86-64 Linux).
+# `bset -m 22 -d 0`, peaks at 375 MB resident (numpy 2.4, x86-64 Linux).
 PAIRS_CELLS_CAP = 3 << 22
 
 NODE = "node"
@@ -96,8 +90,9 @@ class DpProfile:
 
     def __getitem__(self, index: int) -> int:
         if index not in self.index_range:
+            shown = index if abs(index) < 10**20 else f"of {len(str(abs(index)))} digits"
             raise InvalidParameterError(
-                f"index {index} outside {self.index_range} for kind={self.kind}"
+                f"index {shown} outside {self.index_range} for kind={self.kind}"
             )
         return int(self.min_d[index - self.index_range.start])
 
@@ -111,8 +106,7 @@ class DpProfile:
 
 
 def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     effective = default_cap if cap is None else cap
     if effective is not None and m > effective:
         raise CapacityError(f"{what} is capped at m={effective}, got m={m}")
@@ -164,41 +158,57 @@ def _self_convolve_rows(x: np.ndarray) -> Iterator[np.ndarray]:
         yield row[:width] > 0.5
 
 
-def _minplus_self(e: np.ndarray) -> np.ndarray:
-    """Min-plus convolution of a vector of small integers with itself;
-    inf marks unreachable.  At least one entry must be finite."""
-    finite = np.flatnonzero(np.isfinite(e))
-    low = e[finite].min()
-    values = (e[finite] - low).astype(np.intp)
-    indicator = np.zeros((int(values.max()) + 1, e.size), dtype=bool)
-    indicator[values, finite] = True
-    out = np.full(2 * e.size - 1, np.inf)
-    missing = np.ones(out.size, dtype=bool)
-    # the lowest cost row that hits a column is the value there
-    for cost, hit in enumerate(_self_convolve_rows(indicator)):
-        hit &= missing
-        out[hit] = cost + 2 * low
-        missing ^= hit
-        if not missing.any():
-            break
-    return out
+def _merge_level(white: np.ndarray, node: bool, max_d: int | None = None) -> np.ndarray:
+    """The white-root (d, count) table of a subtree from the one its two
+    children share.  Rows stop after ``max_d``, or with no ``max_d`` at the
+    first row by which every count has been hit; a node table takes one
+    more column, every node black, which no white root reaches."""
+    rows, cols = white.shape
+    cut = 2 * rows + 1 if max_d is None else max_d + 1
+    # a child hangs from a white root either white, or black (the
+    # mirrored table) over one more dichromatic edge
+    ext = np.zeros((min(rows + 1, cut), cols), dtype=bool)
+    ext[:rows] = white[: len(ext)]
+    ext[1:] |= white[: len(ext) - 1, ::-1]
+    if max_d is None:  # rows past the first that covers every count hold no first hit
+        ext = ext[: len(list(_until_covered(ext)))]
+    out = np.zeros((min(2 * len(ext) - 1, cut), 2 * cols - 1 + node), dtype=bool)
+    merged = _self_convolve_rows(ext)
+    if max_d is None:
+        merged = _until_covered(merged)
+    for d, hit in zip(range(len(out)), merged):
+        out[d, : hit.size] = hit
+    return out[: d + 1]
+
+
+def _until_covered(rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows, in order, through the first that leaves no column unhit."""
+    seen = False
+    for row in rows:
+        yield row
+        seen = seen | row
+        if seen.all():
+            return
 
 
 def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
-    """Per-depth white-root rows, index 0 = root.  tables[k][v] is the
-    minimum dichromatic count inside a depth-k subtree with a white root
-    and count coordinate v; the black-root row is tables[k][::-1]."""
-    tables = [np.array([0.0, np.inf])]  # a leaf: white root, count 0
+    """Per-depth white-root rows, index 0 = root: tables[k][v] is the
+    first row holding v in the (d, count) table of a depth-k subtree, the
+    least dichromatic count there; the black-root row is tables[k][::-1]."""
+    white = np.array([[True, False]])  # a leaf: no edges, white root, count 0
+    tables = [_first_hits(white)]
     for _ in range(m):
-        child = tables[-1]
-        # a child hangs from a white root either white, or black (the
-        # mirrored row) over one more dichromatic edge
-        row = _minplus_self(np.minimum(child, child[::-1] + 1))
-        if kind == NODE:
-            row = np.append(row, np.inf)  # a white root adds no black node
-        tables.append(row)
-    tables.reverse()
-    return tables
+        white = _merge_level(white, kind == NODE)
+        tables.append(_first_hits(white))
+    return tables[::-1]
+
+
+def _first_hits(table: np.ndarray) -> np.ndarray:
+    """The first row of each column that holds a True, else inf."""
+    first = np.full(table.shape[1], np.inf)
+    for d in range(len(table) - 1, -1, -1):  # lower rows overwrite
+        first[table[d]] = d
+    return first
 
 
 def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
@@ -342,17 +352,7 @@ def _feasible_pairs(m: int, max_d: int) -> np.ndarray:
     """`feasible_pairs` without the cap check, cached by (m, max_d)."""
     white = np.array([[True, False]])  # a leaf: no edges, white root, b = 0
     for _ in range(m):
-        rows, cols = white.shape
-        keep = min(max_d, 2 * cols - 2) + 1  # the merged subtree has 2*cols - 2 edges
-        # a child hangs from a white root either white, or black (the
-        # mirrored table) over one more dichromatic edge
-        ext = np.zeros((min(rows + 1, keep), cols), dtype=bool)
-        ext[:rows] = white[: len(ext)]
-        ext[1:] |= white[: len(ext) - 1, ::-1]
-        white = np.zeros((keep, 2 * cols), dtype=bool)
-        # a white root adds no black node
-        for d, hit in zip(range(keep), _self_convolve_rows(ext)):
-            white[d, :-1] = hit
+        white = _merge_level(white, True, max_d)
     table = white | white[:, ::-1]
     table.flags.writeable = False
     return table

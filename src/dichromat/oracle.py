@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
-from .tree import BLACK, WHITE, Coloring, TreeShape, build_tree, coloring_from_bits
+from .tree import BLACK, WHITE, Coloring, TreeShape, build_tree, check_depth, coloring_from_bits
 
 FULL_ENUMERATION_CAP = 3
 LEAF_CONSTRAINED_CAP = 4
@@ -61,8 +61,7 @@ def enumerate_full(m: int, cap: int = FULL_ENUMERATION_CAP) -> FullProfile:
     Raises `CapacityError` above the cap (default 3); larger trees are the
     job of the dynamic programs in :mod:`dichromat.dp`.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     if m > cap:
         raise CapacityError(
             f"full enumeration is capped at m={cap}; use dichromat.dp for m={m}"
@@ -155,8 +154,7 @@ def enumerate_leaf_constrained(
     every leaf pattern and exhausts internal colors per pattern, which
     keeps the reference independent of the count-indexed DP merges.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     if m > cap:
         raise CapacityError(
             f"leaf-constrained enumeration is capped at m={cap}; "

@@ -456,9 +456,8 @@ def _class_parts(graph: RegionGraph, delta: float) -> list[int]:
 
 def _trace_rows(strategy: str, graph: RegionGraph, delta: float) -> int:
     """Rows of the `strategy` trace, from the four volume classes alone.
-    The fills build exactly this many and random-monotone at most this
-    many; uniform counts from the float capacity sum, which can differ
-    from the class sum only by rounding dust at a step boundary."""
+    The fills and uniform build exactly this many, random-monotone at
+    most this many."""
     volumes, counts = zip(*graph.volume_classes)
     if strategy == "uniform":
         return _ceil_snap(float(graph.total_volume) / delta) + 1
@@ -519,9 +518,8 @@ def generate_trace(
     caps = graph.capacities
 
     if strategy == "uniform":
-        fractions = np.linspace(0.0, 1.0, _ceil_snap(float(caps.sum()) / delta) + 1)
-        blocks = partial(_uniform_blocks, caps, fractions)
-        return SweepoutTrace._from_blocks(graph, delta, fractions.size, blocks)
+        blocks = partial(_uniform_blocks, caps, np.linspace(0.0, 1.0, rows))
+        return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
     if strategy != "random-monotone":
         order = _postorder_entries if strategy == "dfs-fill" else _bfs_entries
         blocks = partial(_fill_blocks, graph, order, _class_parts(graph, delta))

@@ -84,10 +84,15 @@ class TreeShape:
             )
 
 
+def check_depth(m: int) -> None:
+    """Refuse a depth that is not an integer >= 1; a bool is no depth."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
+
+
 def build_tree(m: int, cap: int = DEFAULT_TREE_CAP) -> TreeShape:
     """Return the `TreeShape` of depth ``m`` (1 <= m <= cap)."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
+    check_depth(m)
     if m > cap:
         raise CapacityError(f"depth m={m} exceeds the cap {cap}")
     return TreeShape(m=m, node_count=2 ** (m + 1) - 1, leaf_count=2 ** m)

@@ -165,6 +165,33 @@ def leaf_profile_naf(m: int) -> np.ndarray:
     return np.minimum(naf_weight(t), naf_weight(2**m - t))
 
 
+def node_profile_signed(m: int) -> np.ndarray:
+    """The node profile at b = 1..N, N = 2**(m+1) - 1, as the fewest terms
+    +-(2**j - 1), 1 <= j <= m, summing to b or to N - b, with no dynamic
+    program.  A coloring with d dichromatic edges writes b (white root) or
+    N - b (black root) as a signed sum of d node-subtree sizes, so d is at
+    least that count; that it is met is measured (the tests check every
+    m <= 18), not proved.  Layered boolean BFS over the sums in [-N, 2N]."""
+    n = 2 ** (m + 1) - 1
+    reached = np.zeros(3 * n + 1, dtype=bool)  # the sum s sits at s + n
+    reached[n] = True
+    frontier = reached.copy()
+    fewest = np.full(n + 1, -1)  # over the sums 0..n
+    fewest[0] = 0
+    layer = 0
+    while (fewest < 0).any():
+        layer += 1
+        step = np.zeros_like(frontier)
+        for size in (2**j - 1 for j in range(1, m + 1)):
+            step[size:] |= frontier[:-size]
+            step[:-size] |= frontier[size:]
+        frontier = step & ~reached
+        reached |= frontier
+        fewest[frontier[n : 2 * n + 1]] = layer
+    b = np.arange(1, n + 1)
+    return np.minimum(fewest[b], fewest[n - b])
+
+
 def render_dot_lines(coloring: Coloring) -> str:
     """Graphviz DOT of a coloring built one formatted line at a time:
     every node, then every heap edge parent -- child; black nodes filled,

@@ -194,6 +194,16 @@ def test_export_dot_oversized_witness_index_exits_1(capsys):
     assert err.startswith("dichromat: invalid input: --witness") and "5000 digits" in err
 
 
+def test_export_dot_long_out_of_range_index_names_its_digits(capsys):
+    # under the int-digit limit the index parses; the message gives its
+    # digit count and the range, not the index itself
+    code, out, err = run(capsys, "export-dot", "-m", "3", "--witness", "b=" + "9" * 4000)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "index of 4000 digits outside range(1, 16)" in err
+
+
 def test_negative_seed_exits_1_before_any_region(capsys, monkeypatch):
     def no_regions(*args, **kwargs):
         raise AssertionError("region graph built for a refused seed")

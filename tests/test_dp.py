@@ -32,6 +32,7 @@ from conftest import (
     feasible_pairs_bigint,
     leaf_profile_naf,
     minplus_self_loop,
+    node_profile_signed,
     profile_tables_two_color,
     random_coloring,
     witness_loop,
@@ -144,7 +145,7 @@ def test_witness_equals_loop_oracle_m14(build, index):
 
 def test_leaf_profile_equals_naf_oracle():
     # min(naf(t), naf(2**m - t)) from bit arithmetic alone, against the
-    # FFT min-plus DP at every depth up to 18 (0.3 s for the DP at m = 18)
+    # FFT DP at every depth up to 18 (0.3 s for the DP at m = 18)
     start = time.perf_counter()
     for m in range(1, 19):
         np.testing.assert_array_equal(
@@ -152,6 +153,36 @@ def test_leaf_profile_equals_naf_oracle():
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"leaf profiles m <= 18 took {elapsed:.1f} s"
+
+
+def test_node_profile_equals_signed_oracle():
+    # the fewest signed node-subtree sizes, by a BFS over sums, against
+    # the DP at every depth up to 18 (0.7 s for the DP at m = 18)
+    start = time.perf_counter()
+    for m in range(1, 19):
+        np.testing.assert_array_equal(
+            node_profile(m, cap=18).min_d, node_profile_signed(m), err_msg=f"m={m}"
+        )
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"node profiles m <= 18 took {elapsed:.1f} s"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.5, 0.98]))
+def test_signed_subtree_identity(m, seed, p):
+    # the identity behind both signed-digit oracles: each dichromatic edge
+    # (p, c) adds or takes away the whole subtree under c
+    tree = build_tree(m)
+    coloring = coloring_from_bits(tree, np.random.default_rng(seed).random(tree.node_count) < p)
+    root = coloring.color(1)
+    b, t = root * tree.node_count, root * tree.leaf_count
+    _, edges = count_dichromatic(coloring)
+    for parent, child in edges:
+        sign = coloring.color(child) - coloring.color(parent)
+        below = m - (child.bit_length() - 1)  # the depth of c's subtree
+        b += sign * (2 ** (below + 1) - 1)
+        t += sign * 2**below
+    assert (b, t) == black_counts(coloring)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -215,7 +246,7 @@ def test_achievable_set_rejects_out_of_range():
 
 def test_achievable_profile_consistency():
     # min over d with b in B(d) must reproduce the node profile; the two
-    # programs run different recurrences over different tables
+    # programs share the level merge but stop each level differently
     for m in range(1, 10):
         prof = node_profile(m)
         best = {}
@@ -235,8 +266,9 @@ def test_achievable_sets_share_tables():
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_node_profile_equals_first_feasible_depth(m):
-    # a min-plus recurrence against a boolean (d, b) one: the node profile
-    # at b is the least d with F[d, b]
+    # the node profile at b is the least d with F[d, b]: levels stopped
+    # at their covering row against levels cut at the profile's peak; the
+    # merge is shared, so the independent deep check is the signed oracle
     prof = node_profile(m, cap=16)
     table = dp._feasible_pairs(m, int(prof.min_d.max()))
     assert table[:, 1:].any(axis=0).all()
@@ -295,21 +327,33 @@ def _seeded_row(k, seed, inf_share, top):
         ),
     ).filter(lambda xs: np.isfinite(xs).any()),
     st.integers(0, 20),
+    st.booleans(),
 )
-@example(_seeded_row(10, 0, 0.0, 40), 3)  # 1025 entries, all finite
-@example(_seeded_row(10, 1, 0.9, 8), 0)  # 1025 entries, some columns never hit
-def test_minplus_equals_loop_oracle(values, offset):
+@example(_seeded_row(10, 0, 0.0, 40), 3, False)  # 1025 entries, all finite
+@example(_seeded_row(10, 1, 0.9, 8), 0, True)  # 1025 entries, some columns never hit
+def test_minplus_equals_loop_oracle(values, offset, node):
+    # the first hits of one merged level of a child table that holds the
+    # row e are the min-plus square of e with its mirror one edge dearer
     e = np.asarray(values, dtype=float) + offset
-    np.testing.assert_array_equal(dp._minplus_self(e), minplus_self_loop(e))
+    merged = dp._merge_level(_indicator(e), node)
+    want = minplus_self_loop(np.minimum(e, e[::-1] + 1))
+    np.testing.assert_array_equal(dp._first_hits(merged), np.append(want, [np.inf] * node))
+
+
+def _indicator(row):
+    """The (d, count) table holding each finite row[v] at [row[v], v]."""
+    finite = np.flatnonzero(np.isfinite(row))
+    table = np.zeros((int(row[finite].max()) + 1, row.size), dtype=bool)
+    table[row[finite].astype(np.intp), finite] = True
+    return table
 
 
 def test_minplus_stops_at_first_covering_row(monkeypatch):
     # the top level of leaf_profile(14): the root row is reached long
     # before the last of the 2 * rows - 1 output rows
     seed = leaf_profile(14).witness_seed
-    child = seed[1]
-    e = np.minimum(child, child[::-1] + 1)
-    rows = int(e.max() - e.min()) + 1
+    child = _indicator(seed[1])
+    rows = len(child) + 1  # with the mirror one edge down
     calls = []
     irfft = np.fft.irfft
 
@@ -318,9 +362,9 @@ def test_minplus_stops_at_first_covering_row(monkeypatch):
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", counted)
-    got = dp._minplus_self(e)
+    got = dp._first_hits(dp._merge_level(child, False))
     np.testing.assert_array_equal(got, seed[0])
-    assert len(calls) == int(got.max() - 2 * e.min()) + 1 < 2 * rows - 1
+    assert len(calls) == int(got.max()) + 1 < 2 * rows - 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

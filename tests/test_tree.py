@@ -8,14 +8,23 @@ from dichromat import (
     CapacityError,
     EdgeSet,
     InvalidParameterError,
+    a_of_m,
+    achievable_set,
     all_black,
     all_white,
     black_counts,
+    bounds,
     build_tree,
     coloring_from_bits,
     coloring_from_black_set,
     count_dichromatic,
+    dp,
+    enumerate_full,
+    enumerate_leaf_constrained,
+    leaf_profile,
     neighbors,
+    node_profile,
+    theorem_leaf_bound,
 )
 
 
@@ -64,6 +73,34 @@ def test_build_tree_rejects_bad_m():
     build_tree(25, cap=25)
     with pytest.raises(CapacityError):
         build_tree(3, cap=2)
+
+
+@pytest.mark.parametrize("m", [True, 0, 1.0])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        build_tree,
+        node_profile,
+        leaf_profile,
+        lambda m: achievable_set(m, 0),
+        lambda m: dp.feasible_pairs(m, 0),
+        dp.pairs_depth_limit,
+        a_of_m,
+        theorem_leaf_bound,
+        bounds.lemma22_depth,
+        enumerate_full,
+        lambda m: enumerate_leaf_constrained(m, 0),
+    ],
+    ids=[
+        "build_tree", "node_profile", "leaf_profile", "achievable_set", "feasible_pairs",
+        "pairs_depth_limit", "a_of_m", "theorem_leaf_bound", "lemma22_depth",
+        "enumerate_full", "enumerate_leaf_constrained",
+    ],
+)
+def test_depth_entries_refuse_non_depths(entry, m):
+    # a bool is an int in Python, but True is no depth
+    with pytest.raises(InvalidParameterError, match="depth m must be an integer"):
+        entry(m)
 
 
 def test_node_range_checked():
