@@ -42,8 +42,8 @@ def theorem_leaf_bound(m: int) -> int:
 
 def lemma_cardinality_bound(m: int, d: int) -> int:
     """2**d * m**d, exact.  Python integers cannot overflow, so no
-    saturation is ever needed."""
-    if not isinstance(m, int) or m < 0 or not isinstance(d, int) or d < 0:
+    saturation is ever needed.  A bool is no count."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in (m, d)):
         raise InvalidParameterError(f"m and d must be integers >= 0, got {m!r}, {d!r}")
     return (2 ** d) * (m ** d)
 

@@ -89,6 +89,10 @@ class DpProfile:
     witness_seed: tuple[np.ndarray, ...] = field(repr=False)
 
     def __getitem__(self, index: int) -> int:
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise InvalidParameterError(
+                f"index must be an integer, got {type(index).__name__}"
+            )
         if index not in self.index_range:
             shown = index if abs(index) < 10**20 else f"of {len(str(abs(index)))} digits"
             raise InvalidParameterError(

@@ -9,12 +9,15 @@ continuity: when the special slice is reached, at most ``a - 1`` leaves
 can sit more than one step above the threshold, because one step earlier
 fewer than ``a`` of them had reached it at all.
 
-A trace is read as one walk over column-sparse row blocks (see
-`SweepoutTrace`).  The fills change one entry per step, so their blocks
-touch one column each, and no consumer builds the dense steps x entries
-table: validation, the special slice, the coloring, the certificate and
-the CSV writer each make one pass and keep O(entries) state, the current
-row.  Only the row of the special slice is kept.
+A trace is read as one walk over blocks (see `SweepoutTrace`): row
+blocks, which list every column of a few rows, and event blocks, which
+list one (column, value) change per step.  The fills change one entry per
+step, so after their empty first row they are event blocks of up to
+`_BLOCK_CELLS` steps, built by array arithmetic.  No consumer builds the
+dense steps x entries table: validation, the special slice, the coloring,
+the certificate and the CSV writer each make one pass, branch once per
+block on its shape, and keep O(entries) state, the current row.  Only the
+row of the special slice is kept.
 
 The certificate logic re-checks every claimed volume sandwich directly
 against the trace numbers; nothing is trusted from the coloring step.
@@ -23,7 +26,6 @@ against the trace numbers; nothing is trusted from the coloring step.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -57,7 +59,9 @@ STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 # pass over a generated trace reads, and a dense `SweepoutTrace.steps`.
 TRACE_BYTES_CAP = 512 * 2**20
 
-_BLOCK_CELLS = 1 << 18  # cells of a row block; a block of one row may hold more
+# cells of a row block, or steps of an event block; a block of one row may
+# hold more
+_BLOCK_CELLS = 1 << 18
 _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
@@ -76,8 +80,11 @@ _STEP_DIGITS = 18  # the longest step parsed from its digits; 10**18 < 2**63
 _FIELD_BYTES = 32  # the longest entry or volume field deduplicated by bytes
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], np.uint64)
 
-# (first step, sorted columns it touches, rows x touched values)
+# (first step, columns, values): rows x every column, or one column and
+# one value per step
 Block = tuple[int, np.ndarray, np.ndarray]
+
+_OUTSIDE = "entry outside [0, capacity]"
 
 
 def _ceil_snap(x: float) -> int:
@@ -88,18 +95,25 @@ def _ceil_snap(x: float) -> int:
 
 class SweepoutTrace:
     """A (steps x entries) volume table plus its step bound, read as a
-    walk over column-sparse row blocks.
+    walk over blocks.
 
     Each call of ``blocks()`` walks the rows again and yields ``(start,
-    cols, table)``: the block's first step, the sorted columns it touches
-    and a ``len(table) x len(cols)`` table of their values.  A column a
-    block does not list keeps its value from the previous row; the first
-    block lists every column.  ``shape`` is the (steps, entries) shape of
-    the table.  ``SweepoutTrace(graph=, steps=, step_bound=)`` wraps a
-    dense table, whose blocks touch every column.  `generate_trace` makes
-    the fill and uniform traces from their rule, block by block; for
-    those, ``steps`` builds the dense table on demand, refused past
-    `TRACE_BYTES_CAP`.
+    cols, values)``, ``start`` the block's first step, in one of two
+    shapes:
+
+    - a row block: ``cols`` is every column in order and ``values`` a
+      2-D table of whole rows;
+    - an event block: ``cols`` and ``values`` are 1-D and of one length,
+      one step each; step ``start + i`` is the row before it with column
+      ``cols[i]`` set to ``values[i]``.  A column may come back after
+      others, so a column's value at a step is its last event so far.
+
+    The first block is a row block.  ``shape`` is the (steps, entries)
+    shape of the table.  ``SweepoutTrace(graph=, steps=, step_bound=)``
+    wraps a dense table as row blocks.  `generate_trace` makes the fill
+    and uniform traces from their rule, block by block, the fills as
+    their empty row and then event blocks; for those, ``steps`` builds
+    the dense table on demand, refused past `TRACE_BYTES_CAP`.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
@@ -141,10 +155,26 @@ class SweepoutTrace:
                     f"{TRACE_BYTES_CAP // 2**20} MiB trace cap"
                 )
             steps = np.empty(self.shape)
-            for start, cols, table, row in _walk(self):
-                stop = start + len(table)
-                steps[start:stop] = row
-                steps[start:stop, cols] = table
+            for start, cols, values, row in _walk(self):
+                if values.ndim == 2:
+                    steps[start : start + len(values)] = values
+                    continue
+                # spans of about `_BLOCK_CELLS` cells; each cell takes the
+                # last event on its column at or before its row, found by a
+                # running maximum of event indices down the span, else the
+                # row before the span
+                span = max(1, _BLOCK_CELLS // row.size)
+                before = row
+                for s in range(0, cols.size, span):
+                    c = cols[s : s + span]
+                    last = np.full((c.size, row.size), -1)
+                    last[np.arange(c.size), c] = np.arange(s, s + c.size)
+                    np.maximum.accumulate(last, axis=0, out=last)
+                    rows = steps[start + s : start + s + c.size]
+                    rows[:] = before
+                    hit = last >= 0
+                    rows[hit] = values[last[hit]]
+                    before = rows[-1]
             steps.flags.writeable = False
             self._steps = steps
         return self._steps
@@ -152,9 +182,9 @@ class SweepoutTrace:
     def row(self, t: int) -> np.ndarray:
         """Row ``t``, read-only; the last row asked for is kept."""
         if self._row is None or self._row[0] != t:
-            for start, cols, table, row in _walk(self):
-                if 0 <= t - start < len(table):
-                    row[cols] = table[t - start]
+            for start, cols, values, row in _walk(self):
+                if 0 <= t - start < len(values):
+                    _to_step(row, cols, values, t - start)
                     self._keep_row(t, row)
                     break
             else:
@@ -171,15 +201,41 @@ def _walk(trace: SweepoutTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, n
     first).  The row is one array, advanced past a block when the next
     is asked for; a consumer may keep it once it stops walking."""
     row = np.zeros(trace.graph.entry_count)
-    for start, cols, table in trace.blocks():
-        yield start, cols, table, row
-        row[_index(cols, row.size)] = table[-1]
+    for start, cols, values in trace.blocks():
+        yield start, cols, values, row
+        _to_step(row, cols, values, len(values) - 1)
 
 
-def _index(cols: np.ndarray, entries: int) -> np.ndarray | slice:
-    """An index for a block's columns: every column, as a block of a dense
-    or uniform trace lists them, is a slice, so it copies nothing."""
-    return slice(None) if cols.size == entries else cols
+def _to_step(row: np.ndarray, cols: np.ndarray, values: np.ndarray, i: int) -> None:
+    """Advance ``row`` from the row before a block to the block's row
+    ``i``.  Of an event block, each column takes its last event up to
+    there, found first, so no index is assigned twice and numpy's order
+    for repeated indices does not matter."""
+    if values.ndim == 2:
+        row[:] = values[i]
+        return
+    cols, values = cols[: i + 1], values[: i + 1]
+    # the last event of each run of one column, then of each column
+    ends = np.flatnonzero(np.append(cols[1:] != cols[:-1], True))
+    _, latest = np.unique(cols[ends[::-1]], return_index=True)
+    last = ends[ends.size - 1 - latest]
+    row[cols[last]] = values[last]
+
+
+def _previous(cols: np.ndarray, values: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The value each event's column held the step before: its last
+    earlier event, else its value in ``row``, the row before the events."""
+    prev = np.empty_like(values)
+    prev[1:] = values[:-1]
+    # the first event of each run of one column looks back past the run
+    heads = np.flatnonzero(np.append(True, cols[1:] != cols[:-1]))
+    prev[heads] = row[cols[heads]]
+    # runs by column, in order; a run after another of its column takes
+    # that run's last event, the one before the next run's head
+    runs = np.argsort(cols[heads], kind="stable")
+    again = np.flatnonzero(cols[heads[runs[1:]]] == cols[heads[runs[:-1]]])
+    prev[heads[runs[again + 1]]] = values[heads[runs[again] + 1] - 1]
+    return prev
 
 
 def _dense_blocks(steps: np.ndarray) -> Iterator[Block]:
@@ -203,10 +259,11 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     Reports the first violating step; comparisons use a relative
     tolerance so float-built traces do not trip on rounding dust.  A
     non-finite volume is an entry outside [0, capacity].  At one
-    step the checks rank in the order listed.  One pass over the blocks:
-    a column a block does not touch neither moves nor leaves its range,
-    so each block is checked on its own columns, its first row against
-    the row before it.
+    step the checks rank in the order listed.  One pass over the blocks,
+    each checked on its own against the row before it: a row block row
+    by row, an event block by its values, each against its column's
+    capacity and its column's previous value, since the other columns
+    of that step do not move.
     """
     entries = trace.graph.entry_count
     if len(trace.shape) != 2 or trace.shape[1] != entries or trace.shape[0] < 2:
@@ -217,33 +274,41 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     tol = _REL_TOL * max(1.0, float(caps.max()))
     high = caps + tol
     jump_limit = trace.step_bound + tol
+    too_far = f"step exceeds bound {trace.step_bound}"
     scratch = np.empty(0)  # a block's step differences
-    for start, cols, table, row in _walk(trace):
-        if start == 0 and np.abs(table[0]).max() > tol:
+    # a violation found in one block precedes everything in later blocks
+    for start, cols, values, row in _walk(trace):
+        if values.ndim == 1:
+            # the first block is a row block, so an event has a step before it
+            outside = ~((values >= -tol) & (values <= high[cols]))
+            fail = outside | (np.abs(values - _previous(cols, values, row)) > jump_limit)
+            if fail.any():
+                i = int(np.argmax(fail))
+                return ValidationReport(False, _OUTSIDE if outside[i] else too_far, start + i)
+            continue
+        if start == 0 and np.abs(values[0]).max() > tol:
             return ValidationReport(False, "first step is not the empty vector", 0)
-        at = _index(cols, entries)
-        inside = table >= -tol
-        inside &= table <= high[at]
-        if scratch.size < table.size:
-            scratch = np.empty(table.size)
+        inside = values >= -tol
+        inside &= values <= high
+        if scratch.size < values.size:
+            scratch = np.empty(values.size)
         # row i holds the jump into step start + i; step 0 has none
-        jumps = scratch[: table.size].reshape(table.shape)
-        np.subtract(table[0], row[at], out=jumps[0])
-        np.subtract(table[1:], table[:-1], out=jumps[1:])
+        jumps = scratch[: values.size].reshape(values.shape)
+        np.subtract(values[0], row, out=jumps[0])
+        np.subtract(values[1:], values[:-1], out=jumps[1:])
         np.abs(jumps, out=jumps)
         if not start:
             jumps[0] = 0.0
         # NaN fails `inside`, so a block holding one is never skipped
         if inside.all() and jumps.max() <= jump_limit:
             continue
-        # a violation found in one block precedes everything in later blocks
         violations: list[tuple[int, str]] = []
         bad = np.flatnonzero(~inside.all(axis=1))
         if bad.size:
-            violations.append((start + int(bad[0]), "entry outside [0, capacity]"))
+            violations.append((start + int(bad[0]), _OUTSIDE))
         too_big = np.flatnonzero(jumps.max(axis=1) > jump_limit)
         if too_big.size:
-            violations.append((start + int(too_big[0]), f"step exceeds bound {trace.step_bound}"))
+            violations.append((start + int(too_big[0]), too_far))
         step, message = min(violations, key=lambda v: v[0])
         return ValidationReport(False, message, step)
     if np.abs(row - caps).max() > tol:
@@ -259,8 +324,9 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     valid trace this always holds (one step earlier, fewer than ``a``
     leaves had reached alpha); a violation therefore means the trace
     breaks its own declared step bound.  One pass over the blocks up to
-    that step, with a running count of leaves at or above alpha; the
-    trace keeps the row of the step it finds.
+    that step, with a running count of leaves at or above alpha, which
+    a leaf event moves by at most one; the trace keeps the row of the
+    step it finds.
     """
     leaf_count = trace.graph.tree.leaf_count
     if not isinstance(a, int) or not 1 <= a <= leaf_count:
@@ -268,16 +334,22 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     alpha = float(trace.graph.params.alpha)
     leaves = trace.graph.leaf_cols
     count = 0
-    for start, cols, table, row in _walk(trace):
-        lo, hi = np.searchsorted(cols, (leaves.start, leaves.stop))
-        if lo == hi:
-            continue
-        counts = (table[:, lo:hi] >= alpha).sum(axis=1)
-        counts += count - np.count_nonzero(row[cols[lo:hi]] >= alpha)
+    for start, cols, values, row in _walk(trace):
+        if values.ndim == 2:
+            counts = (values[:, leaves] >= alpha).sum(axis=1)
+            counts += count - np.count_nonzero(row[leaves] >= alpha)
+        else:
+            at = np.flatnonzero((cols >= leaves.start) & (cols < leaves.stop))
+            if not at.size:
+                continue
+            reached = (values[at] >= alpha).astype(np.intp)
+            reached -= _previous(cols[at], values[at], row) >= alpha
+            counts = count + np.cumsum(reached)
         hits = np.flatnonzero(counts >= a)
         if hits.size:
-            t0 = start + int(hits[0])
-            row[cols] = table[t0 - start]
+            i = int(hits[0] if values.ndim == 2 else at[hits[0]])
+            t0 = start + i
+            _to_step(row, cols, values, i)
             break
         count = int(counts[-1])
     else:
@@ -393,53 +465,72 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
 # trace generation
 
 
-def _postorder_entries(graph: RegionGraph) -> Iterator[int]:
-    tree = graph.tree
+def _postorder_cols(graph: RegionGraph) -> np.ndarray:
+    """dfs-fill's columns in fill order: post-order, each child's subtree
+    and then the tube into it, then the node's own region.  Placed level
+    by level: a subtree of height h spans 2**(h+2) - 3 entries, its
+    region last and the tube into it just after, and a right child's
+    subtree starts one past its left sibling's tube."""
+    m = graph.tree.m
+    order = np.empty(graph.entry_count, np.int32)
+    first = np.zeros(1, np.intp)  # each node's first position, by level
+    for depth in range(m + 1):
+        size = 2 ** (m - depth + 2) - 3
+        nodes = np.arange(2**depth, 2 ** (depth + 1))
+        if depth:
+            first = np.repeat(first, 2)
+            first[1::2] += size + 1
+            order[first + size] = graph.tube_col(nodes)
+        order[first + size - 1] = graph.region_col(nodes)
+    return order
 
-    def walk(v: int) -> Iterator[int]:
-        if not tree.is_leaf(v):
-            for u in tree.children(v):
-                yield from walk(u)
-                yield graph.tube_col(u)
-        yield graph.region_col(v)
 
-    return walk(1)
-
-
-def _bfs_entries(graph: RegionGraph) -> Iterator[int]:
-    yield graph.region_col(1)
-    for child in range(2, graph.tree.node_count + 1):
-        yield graph.tube_col(child)
-        yield graph.region_col(child)
+def _bfs_cols(graph: RegionGraph) -> np.ndarray:
+    """bfs-fill's columns in fill order: the root region, then the tube
+    into and the region of each node 2..n."""
+    children = np.arange(2, graph.tree.node_count + 1)
+    order = np.empty(graph.entry_count, np.int32)
+    order[0] = graph.region_col(1)
+    order[1::2] = graph.tube_col(children)
+    order[2::2] = graph.region_col(children)
+    return order
 
 
 def _fill_blocks(
-    graph: RegionGraph, order: Callable[[RegionGraph], Iterator[int]], parts: list[int]
+    graph: RegionGraph, order: Callable[[RegionGraph], np.ndarray], parts: list[int]
 ) -> Iterator[Block]:
     """The empty row over every column, then each entry of ``order(graph)``
     in turn: at its j-th of the ``k`` steps `_class_parts` gives its class,
-    its column holds ``cap * j / k``.  One block per entry, split every
-    `_BLOCK_CELLS` steps."""
+    its column holds ``cap * j / k``.  Event blocks of `_BLOCK_CELLS`
+    steps, each built from the entries it meets.  Under the trace cap a
+    fill has fewer than 2**26 steps, so the per-entry arrays, the order
+    and each entry's last step, are int32."""
     volumes, counts = zip(*graph.volume_classes)
-    class_starts = np.cumsum((0,) + counts[:-1]).tolist()
-    size = _BLOCK_CELLS
-
-    def fill(kind: int) -> Iterator[np.ndarray]:
-        cap, k = float(volumes[kind]), parts[kind]
-        for s in range(0, k, size):
-            yield (cap * np.arange(s + 1, min(s + size, k) + 1) / k)[:, None]
-
-    # a fill of one block is made once; under the trace cap a longer one
-    # has at most 2**26 / `_BLOCK_CELLS` entries, so it is made as read
-    short = [list(fill(kind)) if k <= size else None for kind, k in enumerate(parts)]
+    bounds = np.cumsum(counts[:-1])  # the first column of each class but the root
+    caps = np.array([float(v) for v in volumes])
+    parts_of = np.array(parts, np.int32)
+    order_cols = order(graph)
+    # the last step of each entry; step 0 is the empty row
+    last = parts_of[np.searchsorted(bounds, order_cols, "right")]
+    np.cumsum(last, out=last)
+    rows = int(last[-1]) + 1
     yield 0, np.arange(graph.entry_count), np.zeros((1, graph.entry_count))
-    start = 1
-    for entry in order(graph):
-        col = np.array([entry])
-        kind = bisect_right(class_starts, entry) - 1
-        for chunk in short[kind] or fill(kind):
-            yield start, col, chunk
-            start += len(chunk)
+    for start in range(1, rows, _BLOCK_CELLS):
+        stop = min(start + _BLOCK_CELLS, rows)
+        # keys of last's own dtype, so that it is not cast whole
+        lo, hi = last.searchsorted(np.array((start, stop - 1), last.dtype))
+        met = slice(lo, hi + 1)  # the entries the block meets
+        taken = np.minimum(last[met], stop - 1)  # and the steps each takes in it
+        taken[1:] -= last[lo:hi]
+        taken[0] -= start - 1
+        kind = np.searchsorted(bounds, order_cols[met], "right")
+        k = parts_of[kind]
+        # j = step - (the entry's last step - k), in floats, all exact
+        values = np.arange(start, stop, dtype=np.float64)
+        values -= np.repeat(last[met] - k, taken)
+        values *= np.repeat(caps[kind], taken)
+        values /= np.repeat(k, taken)
+        yield start, np.repeat(order_cols[met], taken), values
 
 
 def _uniform_blocks(caps: np.ndarray, fractions: np.ndarray) -> Iterator[Block]:
@@ -521,7 +612,7 @@ def generate_trace(
         blocks = partial(_uniform_blocks, caps, np.linspace(0.0, 1.0, rows))
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
     if strategy != "random-monotone":
-        order = _postorder_entries if strategy == "dfs-fill" else _bfs_entries
+        order = _postorder_cols if strategy == "dfs-fill" else _bfs_cols
         blocks = partial(_fill_blocks, graph, order, _class_parts(graph, delta))
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
@@ -547,22 +638,30 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
     Each row reformats only the cells whose float bits changed since the
     previous row, so ``-0.0`` and NaN keep their text; row 0 is compared
     with its own complement, so all of its cells are formatted.  One pass
-    over the blocks, comparing only the columns each one touches.
+    over the blocks: a row of a row block compares every column, a step
+    of an event block formats its one cell.
     """
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
     try:
         prefix = [f",{ident}," for ident in trace.graph.entry_ids()]
-        cells = [""] * len(prefix)
+        # column c's text is cells[c + 1]; a row's lines are cells joined by its step
+        cells = [""] * (len(prefix) + 1)
         fh.write(_CSV_HEADER + "\n")
-        for start, cols, table, row in _walk(trace):
-            bits = table.view(np.uint64)
-            prev = ~bits[0] if start == 0 else row[cols].view(np.uint64)
-            for s, line in enumerate(bits, start):
+        for start, cols, values, row in _walk(trace):
+            steps = range(start, start + len(values))
+            if values.ndim == 1:
+                for s, c, v in zip(steps, cols.tolist(), values.tolist()):
+                    cells[c + 1] = f"{prefix[c]}{v!r}\n"
+                    fh.write(str(s).join(cells))
+                continue
+            bits = values.view(np.uint64)
+            prev = ~bits[0] if start == 0 else row.view(np.uint64)
+            for s, line in zip(steps, bits):
                 changed = np.flatnonzero(line != prev)
-                for i, v in zip(cols[changed].tolist(), table[s - start, changed].tolist()):
-                    cells[i] = f"{prefix[i]}{v!r}\n"
-                fh.write(str(s).join(["", *cells]))
+                for c, v in zip(changed.tolist(), values[s - start, changed].tolist()):
+                    cells[c + 1] = f"{prefix[c]}{v!r}\n"
+                fh.write(str(s).join(cells))
                 prev = line
     finally:
         if own:

@@ -192,6 +192,49 @@ def node_profile_signed(m: int) -> np.ndarray:
     return np.minimum(fewest[b], fewest[n - b])
 
 
+def profile_rows_signed(m: int, kind: str) -> list[np.ndarray]:
+    """The per-depth white-root rows of a depth-m profile, index 0 = root,
+    as `DpProfile.witness_seed` holds them, with no dynamic program.
+
+    Row k, of a subtree of height h = m - k, holds at each count v the
+    fewest terms +-s summing to v, the s taken with repeats from the sizes
+    of the proper subtrees: 2**j - 1 nodes, 1 <= j <= h, for the node
+    kind, and 2**j leaves, 0 <= j < h, for the leaf kind.  Each
+    dichromatic edge of a white-root coloring adds or takes away the
+    subtree under it, so d is at least that count; that it is met is
+    measured (the tests check every m <= 16), not proved.  A count no
+    sum reaches is inf, and so is the node kind's all-black count, which
+    a white root cannot have.  Layered boolean BFS over the sums in
+    [-W, 2W], W the row's last count."""
+    rows = []
+    for h in range(m, -1, -1):
+        if kind == "node":
+            sizes = [2**j - 1 for j in range(1, h + 1)]
+            w = 2 ** (h + 1) - 1
+        else:
+            sizes = [2**j for j in range(h)]
+            w = 2**h
+        reached = np.zeros(3 * w + 1, dtype=bool)  # the sum s sits at s + w
+        reached[w] = True
+        frontier = reached.copy()
+        fewest = np.full(w + 1, np.inf)
+        fewest[0] = 0
+        layer = 0
+        while frontier.any():
+            layer += 1
+            step = np.zeros_like(frontier)
+            for size in sizes:
+                step[size:] |= frontier[:-size]
+                step[:-size] |= frontier[size:]
+            frontier = step & ~reached
+            reached |= frontier
+            fewest[frontier[w : 2 * w + 1]] = layer
+        if kind == "node":
+            fewest[w] = np.inf
+        rows.append(fewest)
+    return rows
+
+
 def render_dot_lines(coloring: Coloring) -> str:
     """Graphviz DOT of a coloring built one formatted line at a time:
     every node, then every heap edge parent -- child; black nodes filled,

@@ -56,6 +56,15 @@ def test_cardinality_bound_values():
     assert lemma_cardinality_bound(5, 0) == 1
 
 
+@pytest.mark.parametrize(
+    "m, d", [(True, 2), (False, 3), (3, True), (2, False), (2.0, 1), (2, 1.0), (-1, 2), (2, -1)]
+)
+def test_cardinality_bound_refuses_non_counts(m, d):
+    # a bool is no count: (True, 2) once gave 4 and (False, 3) gave 0
+    with pytest.raises(InvalidParameterError):
+        lemma_cardinality_bound(m, d)
+
+
 def test_cardinality_bound_no_overflow():
     # arbitrary precision: huge exponents stay exact
     v = lemma_cardinality_bound(12, 100)

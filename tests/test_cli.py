@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
@@ -615,6 +616,25 @@ def test_fill_m14_certifies_in_one_gib(strategy):
     assert proc.returncode in (0, 3), proc.stderr[-2000:]
     assert json.loads(proc.stdout)["steps"] == 770027
     assert float(proc.stderr.splitlines()[-1]) < 30.0
+
+
+@pytest.mark.parametrize(
+    "strategy, digest",
+    [
+        ("dfs-fill", "5205269fceaa56d298a4acd14ec6a42c21702fdc3c679a2bf7b04555848a2c59"),
+        ("bfs-fill", "dc67300562449af38f98a05ec4ea55fdba5444d65ef904d16d6e526951b2bfd1"),
+    ],
+    ids=["dfs-fill", "bfs-fill"],
+)
+def test_fill_m14_runs_well_under_two_seconds(capsys, strategy, digest):
+    # one (column, value) event a step in chunks, not one block per entry,
+    # which took about 1.5 s a query in-process; stdout as the per-entry
+    # blocks printed it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweepout", "-m", "14", "--strategy", strategy)
+    elapsed = time.perf_counter() - start
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), err
+    assert elapsed < 0.75, f"sweepout -m 14 --strategy {strategy} took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill", "uniform"])

@@ -33,6 +33,7 @@ from conftest import (
     leaf_profile_naf,
     minplus_self_loop,
     node_profile_signed,
+    profile_rows_signed,
     profile_tables_two_color,
     random_coloring,
     witness_loop,
@@ -58,6 +59,16 @@ def test_profile_index_ranges():
         npf[0]
     with pytest.raises(InvalidParameterError):
         lpf[9]
+
+
+@pytest.mark.parametrize("index", [True, False, 3.0, "3", None])
+def test_profile_index_must_be_an_int(index):
+    # a bool would read as 0 or 1, and a float reached numpy's IndexError
+    for profile in (node_profile(3), leaf_profile(3)):
+        with pytest.raises(InvalidParameterError, match="index must be an integer"):
+            profile[index]
+        with pytest.raises(InvalidParameterError, match="index must be an integer"):
+            witness(profile, index)
 
 
 def test_profile_boundary_values():
@@ -165,6 +176,23 @@ def test_node_profile_equals_signed_oracle():
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"node profiles m <= 18 took {elapsed:.1f} s"
+
+
+def test_profile_rows_equal_signed_oracle():
+    # every row `witness` reads, not only the root's, against the BFS over
+    # signed proper-subtree sizes
+    start = time.perf_counter()
+    for kind, profile in (("node", node_profile), ("leaf", leaf_profile)):
+        for m in range(1, 17):
+            seed = profile(m, cap=16).witness_seed
+            rows = profile_rows_signed(m, kind)
+            assert len(seed) == len(rows) == m + 1
+            for depth, (got, want) in enumerate(zip(seed, rows)):
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"{kind} m={m} depth={depth}"
+                )
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"profile rows m <= 16 took {elapsed:.1f} s"
 
 
 @settings(max_examples=200, deadline=None)

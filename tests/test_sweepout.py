@@ -494,15 +494,23 @@ def test_validate_memory_is_not_table_sized(params):
 
 def _block_cells(trace):
     """Cells the blocks of ``trace`` hold, checking their layout on the way:
-    consecutive starts from 0, sorted distinct columns, every column in the
-    first block, and one table row per step."""
+    consecutive starts from 0, at least one step a block and every column
+    in range.  A row block has sorted distinct columns and one table row
+    per step, and the first block lists every column; an event block has
+    one column and one value per step."""
     cells = 0
     nxt = 0
-    for start, cols, table in trace.blocks():
-        assert start == nxt and table.shape == (len(table), cols.size) and len(table)
-        assert np.all(np.diff(cols) > 0) and (start or cols.size == trace.graph.entry_count)
-        cells += table.size
-        nxt += len(table)
+    entries = trace.graph.entry_count
+    for start, cols, values in trace.blocks():
+        assert start == nxt and len(values) and cols.ndim == 1
+        assert cols.min() >= 0 and cols.max() < entries
+        if values.ndim == 1:
+            assert start and len(cols) == len(values)
+        else:
+            assert values.shape == (len(values), cols.size)
+            assert np.all(np.diff(cols) > 0) and (start or cols.size == entries)
+        cells += values.size
+        nxt += len(values)
     assert nxt == trace.shape[0]
     return cells
 
@@ -570,6 +578,128 @@ def test_blocks_equal_dense_oracle(strategy, m, wide, scale, block_cells, seed):
         assert _read_outcome(_certified, trace) == _read_outcome(_certified, dense)
         if m <= 5:
             assert _csv_lines(trace) == _csv_lines(dense)
+
+
+# ---------------------------------------------------------------------------
+# event blocks of any (column, value) stream against the dense table
+
+
+def _events(trace):
+    """The first row and the (column, value) events after it of a fill."""
+    blocks = list(trace.blocks())
+    cols = np.concatenate([c for _, c, _ in blocks[1:]])
+    values = np.concatenate([v for _, _, v in blocks[1:]])
+    return blocks[0][2][0], cols, values
+
+
+def _event_trace(graph, step_bound, first, cols, values):
+    """The trace of the row ``first`` and then one event a step, walked as
+    event blocks of `_BLOCK_CELLS` steps."""
+    def blocks():
+        size = sweepout._BLOCK_CELLS
+        yield 0, np.arange(graph.entry_count), first[None, :]
+        for s in range(0, cols.size, size):
+            yield 1 + s, cols[s : s + size], values[s : s + size]
+
+    return SweepoutTrace._from_blocks(graph, step_bound, 1 + cols.size, blocks)
+
+
+def _dense_of_events(first, cols, values):
+    """The table of a row and the events after it, built row by row."""
+    steps = np.empty((1 + cols.size, first.size))
+    steps[0] = first
+    for i, (c, v) in enumerate(zip(cols.tolist(), values.tolist()), 1):
+        steps[i] = steps[i - 1]
+        steps[i, c] = v
+    return steps
+
+
+def _assert_events_match_dense(trace, first, cols, values, block, probe):
+    """Every pass over the event trace against the same pass over its
+    dense table, under event blocks of ``block`` steps."""
+    graph, bound = trace.graph, trace.step_bound
+    with mock.patch.object(sweepout, "_BLOCK_CELLS", block):
+        events = _event_trace(graph, bound, first, cols, values)
+        dense = SweepoutTrace(
+            graph=graph, steps=_dense_of_events(first, cols, values), step_bound=bound
+        )
+        report = validate_trace(events)
+        assert (report.ok, report.message, report.step) == validate_trace_dense(dense)
+        assert events.steps.tobytes() == dense.steps.tobytes()
+        for t in (0, probe, len(cols)):
+            assert events.row(t).tobytes() == dense.steps[t].tobytes(), t
+        a = a_of_m(graph.tree.m)
+        assert _read_outcome(find_special_slice, events, a) == _read_outcome(
+            find_special_slice, dense, a
+        )
+        assert _read_outcome(_certified, events) == _read_outcome(_certified, dense)
+        assert _csv_lines(events) == _csv_lines(dense)
+    return report
+
+
+_EVENT_FAULTS = ("over", "below", "nan", "jump", "revisit")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_event_stream_faults_match_dense_oracle(data, params):
+    # faults in a fill's events, some at or next to a block boundary, and
+    # columns revisited after others (in range, by a small step or a jump)
+    strategy = data.draw(st.sampled_from(["dfs-fill", "bfs-fill"]))
+    trace = generate_trace(strategy, data.draw(st.integers(1, 3)), params)
+    block = data.draw(st.sampled_from([1, 2, 3, 7, 64, sweepout._BLOCK_CELLS]))
+    first, cols, values = _events(trace)
+    caps, bound = trace.graph.capacities, trace.step_bound
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(_EVENT_FAULTS))
+        if data.draw(st.booleans()):
+            edge = block * data.draw(st.integers(0, (cols.size - 1) // block))
+            i = edge + data.draw(st.sampled_from([-1, 0, 1]))
+            i = min(max(i, 0), cols.size - 1)
+        else:
+            i = data.draw(st.integers(0, cols.size - 1))
+        before = _dense_of_events(first, cols, values)[i]  # the row event i changes
+        c = int(cols[i])
+        values = values.copy()
+        if kind == "over":
+            values[i] = caps[c] * 1.5
+        elif kind == "below":
+            values[i] = -1.0
+        elif kind == "nan":
+            values[i] = np.nan
+        elif kind == "jump":
+            values[i] = caps[c] if before[c] < caps[c] - 2 * bound else 0.0
+        else:
+            earlier = np.flatnonzero(cols[:i] != cols[i - 1]) if i else cols[:0]
+            if not earlier.size:
+                continue
+            c = int(cols[earlier[data.draw(st.integers(0, earlier.size - 1))]])
+            step = data.draw(st.sampled_from([0.0, 0.5, -0.5, 3.0])) * bound
+            cols = np.insert(cols, i, c)
+            values = np.insert(values, i, before[c] + step)
+    probe = data.draw(st.integers(0, cols.size))
+    _assert_events_match_dense(trace, first, cols, values, block, probe)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, None])
+@pytest.mark.parametrize("drop, ok", [(0.0, True), (0.5, True), (3.0, False)])
+def test_revisited_column_jumps_from_its_last_event(params, block, drop, ok):
+    # column 1 fills, other columns fill, then column 1 comes back ``drop``
+    # step bounds below its capacity and is refilled at once; the revisit
+    # starts a block of 1, 2 or 5 events, and its jump is measured from
+    # column 1's own last event, not from the event just before
+    trace = generate_trace("bfs-fill", 2, params)
+    first, cols, values = _events(trace)
+    cap = trace.graph.capacities[1]
+    at = 10 * (int(np.flatnonzero(cols == 1)[-1]) // 10 + 2)
+    assert at < cols.size and cols[at - 1] != 1
+    cols = np.insert(cols, at, [1, 1])
+    values = np.insert(values, at, [cap - drop * trace.step_bound, cap])
+    report = _assert_events_match_dense(
+        trace, first, cols, values, block or sweepout._BLOCK_CELLS, at + 1
+    )
+    jump = (False, f"step exceeds bound {trace.step_bound}", at + 1)
+    assert (report.ok, report.message, report.step) == ((True, "ok", None) if ok else jump)
 
 
 def test_row_equals_dense_row(params):
