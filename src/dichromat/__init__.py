@@ -9,8 +9,8 @@ The package splits into three layers:
 * geometry: :mod:`dichromat.metric`, :mod:`dichromat.sweepout`;
 * front end: :mod:`dichromat.cli`.
 
-The oracle enumerates everything and is the ground truth the dynamic
-programs are tested against; it is deliberately capped at small depths.
+The oracle enumerates everything and is the ground truth the exact
+solvers are tested against; it is deliberately capped at small depths.
 """
 
 from .bounds import (

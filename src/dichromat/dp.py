@@ -1,31 +1,32 @@
-"""Exact dynamic programs over full binary trees.
+"""Exact solvers over full binary trees.
 
-All subtrees rooted at the same depth are isomorphic, so every DP here
-builds one table per depth instead of one per node: a boolean [d, v]
-table saying that some coloring of a depth-``k`` subtree with a white
-root has d dichromatic edges and count v (black nodes for the node
-profile and achievable sets, black leaves for the leaf profile).
-Swapping every color keeps d and maps v to size - v, so the black-root
-table is read as the mirror of the white-root one.
+All subtrees rooted at the same depth are isomorphic, so every table here
+is built once per depth instead of once per node.  A count v is black
+nodes (node profile, achievable sets) or black leaves (leaf profile).
+Swapping every color keeps the dichromatic count and maps v to size - v,
+so a black-root row or table is read as the mirror of the white-root one.
 
-Both programs climb with one level merge, `_merge_level`: extend the
-child table with its mirror shifted down one d row, then take the
-support of its 2-D self-convolution.  A real FFT runs along the wide
-count axis, zero padded to the next 2**a * 3**b * 5**c, and the output
-rows come out one at a time, in order, each summed over each unordered
-pair of input rows once.  Before it is thresholded, every row must lie
-within 0.25 of an integer vector, or `DichromatError` is raised.  Only
-the stop differs.  A profile value at v is the first row holding v, so
-a profile level cuts the extended table and the merged one at the first
-row by which every count has been hit: later rows hold no first hit,
-at that level or above.  The achievable-set table F[d, b] stops at
+Profiles.  Each dichromatic edge of a white-root coloring adds or takes
+away the size of the subtree under it, and the `_profile_tables`
+docstring proves that the least dichromatic count at v is exactly the
+fewest such signed proper-subtree sizes summing to v.  So each depth's
+row is one layered boolean BFS over integer sums, with no float
+arithmetic.  Unreachable values are ``numpy.inf``, never a large integer
+that arithmetic could overflow into a real count.
+
+Achievable sets.  The boolean table F[d, b] climbs with one level merge,
+`_merge_level`: extend the white-root child table with its mirror shifted
+down one d row, then take the support of its 2-D self-convolution, cut at
 ``max_d``: merging only adds dichromatic edges, so rows past it never
-feed rows at or below it.  Unreachable profile values are ``numpy.inf``,
-never a large integer that arithmetic could overflow into a real count.
+feed rows at or below it.  A real FFT runs along the wide count axis,
+zero padded to the next 2**a * 3**b * 5**c, and the output rows come out
+one at a time, in order, each summed over each unordered pair of input
+rows once.  Before it is thresholded, every row must lie within 0.25 of
+an integer vector, or `DichromatError` is raised.
 
-`witness` walks the per-depth tables back down one level at a time.  A
-node's choice of child colors and budget split depends only on its
-depth, color and budget, so each level solves it once per distinct
+`witness` walks the per-depth profile rows back down one level at a
+time.  A node's choice of child colors and budget split depends only on
+its depth, color and budget, so each level solves it once per distinct
 (color, budget) state, from a (states x left budget) table of candidate
 costs, and every node reads the choice of its state.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -89,7 +90,7 @@ class DpProfile:
     witness_seed: tuple[np.ndarray, ...] = field(repr=False)
 
     def __getitem__(self, index: int) -> int:
-        if not isinstance(index, int) or isinstance(index, bool):
+        if not _is_int(index):
             raise InvalidParameterError(
                 f"index must be an integer, got {type(index).__name__}"
             )
@@ -107,6 +108,11 @@ class DpProfile:
         """Smallest index attaining the maximum value, with that value."""
         pos = int(np.argmax(self.min_d))
         return self.index_range.start + pos, int(self.min_d[pos])
+
+
+def _is_int(value) -> bool:
+    """An int and no bool: a bool would read as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) -> None:
@@ -162,57 +168,87 @@ def _self_convolve_rows(x: np.ndarray) -> Iterator[np.ndarray]:
         yield row[:width] > 0.5
 
 
-def _merge_level(white: np.ndarray, node: bool, max_d: int | None = None) -> np.ndarray:
-    """The white-root (d, count) table of a subtree from the one its two
-    children share.  Rows stop after ``max_d``, or with no ``max_d`` at the
-    first row by which every count has been hit; a node table takes one
-    more column, every node black, which no white root reaches."""
+def _merge_level(white: np.ndarray, max_d: int) -> np.ndarray:
+    """The white-root (d, black count) table of a subtree, rows 0..max_d,
+    from the one its two children share; it takes one more column, every
+    node black, which no white root reaches."""
     rows, cols = white.shape
-    cut = 2 * rows + 1 if max_d is None else max_d + 1
     # a child hangs from a white root either white, or black (the
     # mirrored table) over one more dichromatic edge
-    ext = np.zeros((min(rows + 1, cut), cols), dtype=bool)
+    ext = np.zeros((min(rows + 1, max_d + 1), cols), dtype=bool)
     ext[:rows] = white[: len(ext)]
     ext[1:] |= white[: len(ext) - 1, ::-1]
-    if max_d is None:  # rows past the first that covers every count hold no first hit
-        ext = ext[: len(list(_until_covered(ext)))]
-    out = np.zeros((min(2 * len(ext) - 1, cut), 2 * cols - 1 + node), dtype=bool)
-    merged = _self_convolve_rows(ext)
-    if max_d is None:
-        merged = _until_covered(merged)
-    for d, hit in zip(range(len(out)), merged):
+    out = np.zeros((min(2 * len(ext) - 1, max_d + 1), 2 * cols), dtype=bool)
+    for d, hit in zip(range(len(out)), _self_convolve_rows(ext)):
         out[d, : hit.size] = hit
-    return out[: d + 1]
-
-
-def _until_covered(rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows, in order, through the first that leaves no column unhit."""
-    seen = False
-    for row in rows:
-        yield row
-        seen = seen | row
-        if seen.all():
-            return
+    return out
 
 
 def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
     """Per-depth white-root rows, index 0 = root: tables[k][v] is the
-    first row holding v in the (d, count) table of a depth-k subtree, the
-    least dichromatic count there; the black-root row is tables[k][::-1]."""
-    white = np.array([[True, False]])  # a leaf: no edges, white root, count 0
-    tables = [_first_hits(white)]
-    for _ in range(m):
-        white = _merge_level(white, kind == NODE)
-        tables.append(_first_hits(white))
-    return tables[::-1]
+    least dichromatic count of a coloring of a depth-k subtree with a
+    white root and count v, inf where there is none; the black-root row
+    is tables[k][::-1].
 
+    Row k holds S(v), the fewest terms +-x summing to v, the x taken with
+    repeats from the proper-subtree sizes of a subtree of height
+    h = m - k: x_j = 2**j - 1 nodes, 1 <= j <= h, for the node kind, and
+    x_j = 2**j leaves, 0 <= j < h, for the leaf kind.  S comes from a
+    layered boolean BFS over the sums in [-w, 2w], w the row's last
+    count.  That range loses no sum: the terms of a sum of v, 0 <= v <= w,
+    can be ordered to take a positive one while the partial sum is at
+    most v and a negative one otherwise, which keeps every partial sum
+    within w of v.  The node kind's count w, every node black, has no
+    white root and is inf.
 
-def _first_hits(table: np.ndarray) -> np.ndarray:
-    """The first row of each column that holds a True, else inf."""
-    first = np.full(table.shape[1], np.inf)
-    for d in range(len(table) - 1, -1, -1):  # lower rows overwrite
-        first[table[d]] = d
-    return first
+    Why S is the least dichromatic count R, for 0 <= v <= w (v < w for
+    the node kind); c is the size of a child, x_h (node) or x_(h-1) (leaf):
+
+    - R >= S.  A dichromatic edge (p, q) of a white-root coloring adds
+      the size of the subtree under q if q is black and takes it away if
+      q is white, so the count is a signed sum of d proper-subtree sizes.
+    - Normal form.  A fewest sum never holds both +x and -x.  Leaf kind:
+      2**j + 2**j = 2**(j+1) would be a shorter sum, so no magnitude
+      below c repeats.  Node kind: x_j + x_j = x_(j+1) - x_1 keeps the
+      length, and its -x_1 cancels a +x_1 only if the sum was not fewest;
+      the sum of 4**j over the terms grows with each such step, so
+      repeating it on magnitudes below c ends.  Either way some fewest sum
+      of v is a low part s, using each magnitude below c at most once,
+      so |s| <= c - h (node) or c - 1 (leaf), plus c taken a times, with
+      one sign.  As |s| < c and 0 <= v <= 2c, that sign is + and a is 0,
+      1 or 2, and s <= 0 where a = 2.
+    - R <= S, by induction on h; at h = 0 there are no sizes and v = 0 has
+      d = 0.  The low part is a signed sum of the child's proper-subtree
+      sizes, so a white-root child colors |s| at a cost of at most its
+      length; a black child with count u costs 1 + R_child(c - u).
+      a = 0: one white child takes s, the other is all white.  a = 1,
+      s >= 0: one child is all black, the other, white, takes s.  a = 1,
+      s < 0: a black child takes c + s, at 1 + R_child(-s), the other is
+      all white.  a = 2: a black child takes c + s, the other is all
+      black.  Each child's count lies in its range, and the children's
+      costs add up to at most a plus the length of the low part.
+    """
+    tables = []
+    for h in range(m, -1, -1):
+        if kind == NODE:
+            sizes, w = [2**j - 1 for j in range(1, h + 1)], 2 ** (h + 1) - 1
+        else:
+            sizes, w = [2**j for j in range(h)], 2**h
+        fewest = np.full(3 * w + 1, np.inf)  # the sum s sits at s + w
+        fewest[w] = 0
+        frontier, layer = fewest == 0, 0
+        while frontier.any():
+            layer += 1
+            step = np.zeros_like(frontier)
+            for size in sizes:
+                step[size:] |= frontier[:-size]
+                step[:-size] |= frontier[size:]
+            frontier = step & (fewest == np.inf)
+            fewest[frontier] = layer
+        if kind == NODE:
+            fewest[2 * w] = np.inf
+        tables.append(fewest[w : 2 * w + 1].copy())
+    return tables
 
 
 def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
@@ -220,12 +256,9 @@ def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
     _check_depth(m, cap, DEFAULT_PROFILE_CAP, what)
     tables = _profile_tables(m, kind)
     root = np.minimum(tables[0], tables[0][::-1])
-    if kind == NODE:
-        index_range = range(1, 2 ** (m + 1))
-        values = root[1:]
-    else:
-        index_range = range(0, 2 ** m + 1)
-        values = root
+    first = 1 if kind == NODE else 0  # a node profile counts from one black node
+    index_range = range(first, root.size)
+    values = root[first:]
     if not np.isfinite(values).all():
         raise DichromatError("internal error: unreachable count in profile range")
     min_d = values.astype(np.int64)
@@ -246,7 +279,8 @@ def leaf_profile(m: int, cap: int | None = None) -> DpProfile:
 
 
 def witness(profile: DpProfile, index: int) -> Coloring:
-    """One optimal coloring for ``index``, rebuilt from the DP tables.
+    """One optimal coloring for ``index``, rebuilt from the profile's
+    per-depth rows.
 
     Ties are broken deterministically toward the lexicographically
     smallest bit vector: white root first, then white left child, white
@@ -343,6 +377,8 @@ def feasible_pairs(m: int, max_d: int, cap: int | None = None) -> np.ndarray:
 
     Raises `CapacityError` where ``max_d`` passes `pairs_depth_limit`.
     """
+    if not _is_int(max_d) or max_d < 0:
+        raise InvalidParameterError(f"max_d must be an integer >= 0, got {max_d!r}")
     if max_d > pairs_depth_limit(m, cap):
         raise CapacityError(
             f"the feasible-pairs table at m={m} cut at d={max_d} exceeds the cap "
@@ -356,7 +392,7 @@ def _feasible_pairs(m: int, max_d: int) -> np.ndarray:
     """`feasible_pairs` without the cap check, cached by (m, max_d)."""
     white = np.array([[True, False]])  # a leaf: no edges, white root, b = 0
     for _ in range(m):
-        white = _merge_level(white, True, max_d)
+        white = _merge_level(white, max_d)
     table = white | white[:, ::-1]
     table.flags.writeable = False
     return table
@@ -381,7 +417,7 @@ def achievable_set(m: int, d: int, cap: int | None = None) -> AchievableSet:
     """Exact B_m(d), restricted to black counts >= 1."""
     limit = pairs_depth_limit(m, cap)
     max_d = 2 ** (m + 1) - 2
-    if not isinstance(d, int) or not 0 <= d <= max_d:
+    if not _is_int(d) or not 0 <= d <= max_d:
         raise InvalidParameterError(f"d must lie in 0..{max_d}, got {d!r}")
     # built to depth 2**k - 1 where the cap allows, so queries at rising d
     # share a few tables; a d past the cap is refused by feasible_pairs

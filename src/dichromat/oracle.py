@@ -1,6 +1,6 @@
 """Brute-force reference enumeration for small trees.
 
-This module is the ground truth the dynamic programs are tested against.
+This module is the ground truth the exact solvers are tested against.
 It never shares merge logic with :mod:`dichromat.dp`: full enumeration
 walks all ``2**n`` colorings, and the depth-4 leaf-constrained search
 exhausts internal colors per leaf pattern bottom-up.
@@ -59,7 +59,7 @@ def enumerate_full(m: int, cap: int = FULL_ENUMERATION_CAP) -> FullProfile:
     """Exhaustively enumerate all colorings of the depth-``m`` tree.
 
     Raises `CapacityError` above the cap (default 3); larger trees are the
-    job of the dynamic programs in :mod:`dichromat.dp`.
+    job of the exact solvers in :mod:`dichromat.dp`.
     """
     check_depth(m)
     if m > cap:

@@ -63,14 +63,16 @@ def convolve2d_bigint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(out_rows, out_cols)
 
 
-def feasible_pairs_bigint(m: int) -> np.ndarray:
+def feasible_pairs_bigint(m: int, max_d: int | None = None) -> np.ndarray:
     """Boolean table F[b, d] of T_m (some coloring has b black nodes and d
-    dichromatic edges), merged level by level with `convolve2d_bigint`."""
+    dichromatic edges), merged level by level with `convolve2d_bigint`.
+    With ``max_d``, every level keeps only d <= max_d."""
     white, black = 0, 1
     current = [np.zeros((2, 1), dtype=np.uint64) for _ in (white, black)]
     current[white][0, 0] = 1
     current[black][1, 0] = 1
     b_width = 2
+    cut = None if max_d is None else max_d + 1
     for _ in range(m):
         d_width = current[0].shape[1]
         nxt = []
@@ -78,10 +80,10 @@ def feasible_pairs_bigint(m: int) -> np.ndarray:
             ext = np.zeros((b_width, d_width + 1), dtype=np.uint64)
             ext |= np.pad(current[c], ((0, 0), (0, 1)))
             ext[:, 1:] |= current[1 - c]
-            conv = convolve2d_bigint(ext, ext)
+            conv = convolve2d_bigint(ext[:, :cut], ext[:, :cut])
             tab = np.zeros((2 * b_width, conv.shape[1]), dtype=np.uint64)
             tab[c : c + conv.shape[0]] = conv > 0
-            nxt.append(tab)
+            nxt.append(tab[:, :cut])
         current = nxt
         b_width *= 2
     return (current[white] | current[black]) > 0
@@ -170,8 +172,9 @@ def node_profile_signed(m: int) -> np.ndarray:
     +-(2**j - 1), 1 <= j <= m, summing to b or to N - b, with no dynamic
     program.  A coloring with d dichromatic edges writes b (white root) or
     N - b (black root) as a signed sum of d node-subtree sizes, so d is at
-    least that count; that it is met is measured (the tests check every
-    m <= 18), not proved.  Layered boolean BFS over the sums in [-N, 2N]."""
+    least that count; that it is met is the proof in the
+    `dichromat.dp._profile_tables` docstring.  Layered boolean BFS over the
+    sums in [-N, 2N]."""
     n = 2 ** (m + 1) - 1
     reached = np.zeros(3 * n + 1, dtype=bool)  # the sum s sits at s + n
     reached[n] = True
@@ -190,49 +193,6 @@ def node_profile_signed(m: int) -> np.ndarray:
         fewest[frontier[n : 2 * n + 1]] = layer
     b = np.arange(1, n + 1)
     return np.minimum(fewest[b], fewest[n - b])
-
-
-def profile_rows_signed(m: int, kind: str) -> list[np.ndarray]:
-    """The per-depth white-root rows of a depth-m profile, index 0 = root,
-    as `DpProfile.witness_seed` holds them, with no dynamic program.
-
-    Row k, of a subtree of height h = m - k, holds at each count v the
-    fewest terms +-s summing to v, the s taken with repeats from the sizes
-    of the proper subtrees: 2**j - 1 nodes, 1 <= j <= h, for the node
-    kind, and 2**j leaves, 0 <= j < h, for the leaf kind.  Each
-    dichromatic edge of a white-root coloring adds or takes away the
-    subtree under it, so d is at least that count; that it is met is
-    measured (the tests check every m <= 16), not proved.  A count no
-    sum reaches is inf, and so is the node kind's all-black count, which
-    a white root cannot have.  Layered boolean BFS over the sums in
-    [-W, 2W], W the row's last count."""
-    rows = []
-    for h in range(m, -1, -1):
-        if kind == "node":
-            sizes = [2**j - 1 for j in range(1, h + 1)]
-            w = 2 ** (h + 1) - 1
-        else:
-            sizes = [2**j for j in range(h)]
-            w = 2**h
-        reached = np.zeros(3 * w + 1, dtype=bool)  # the sum s sits at s + w
-        reached[w] = True
-        frontier = reached.copy()
-        fewest = np.full(w + 1, np.inf)
-        fewest[0] = 0
-        layer = 0
-        while frontier.any():
-            layer += 1
-            step = np.zeros_like(frontier)
-            for size in sizes:
-                step[size:] |= frontier[:-size]
-                step[:-size] |= frontier[size:]
-            frontier = step & ~reached
-            reached |= frontier
-            fewest[frontier[w : 2 * w + 1]] = layer
-        if kind == "node":
-            fewest[w] = np.inf
-        rows.append(fewest)
-    return rows
 
 
 def render_dot_lines(coloring: Coloring) -> str:

@@ -33,7 +33,6 @@ from conftest import (
     leaf_profile_naf,
     minplus_self_loop,
     node_profile_signed,
-    profile_rows_signed,
     profile_tables_two_color,
     random_coloring,
     witness_loop,
@@ -110,10 +109,12 @@ def test_witness_deterministic():
     assert witness(prof, 9).as_tuple() == witness(prof, 9).as_tuple()
 
 
-@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("m", range(1, 15))
 @pytest.mark.parametrize("build", [node_profile, leaf_profile])
 def test_profile_rows_mirror_two_color_oracle(build, m):
-    # one white-root row per depth; its mirror is the black-root row
+    # one white-root row per depth, every row `witness` reads, against the
+    # min-plus recurrence up to the default cap; its mirror is the
+    # black-root row (0.7 s for the oracle at node m = 14)
     prof = build(m)
     want = profile_tables_two_color(m, prof.kind)
     assert len(prof.witness_seed) == len(want) == m + 1
@@ -156,7 +157,7 @@ def test_witness_equals_loop_oracle_m14(build, index):
 
 def test_leaf_profile_equals_naf_oracle():
     # min(naf(t), naf(2**m - t)) from bit arithmetic alone, against the
-    # FFT DP at every depth up to 18 (0.3 s for the DP at m = 18)
+    # profile route at every depth up to 18 (0.05 s for the route at m = 18)
     start = time.perf_counter()
     for m in range(1, 19):
         np.testing.assert_array_equal(
@@ -167,8 +168,9 @@ def test_leaf_profile_equals_naf_oracle():
 
 
 def test_node_profile_equals_signed_oracle():
-    # the fewest signed node-subtree sizes, by a BFS over sums, against
-    # the DP at every depth up to 18 (0.7 s for the DP at m = 18)
+    # the fewest signed node-subtree sizes at the root alone, by a BFS
+    # over sums, against the per-depth route at every depth up to 18
+    # (0.14 s for the route at m = 18)
     start = time.perf_counter()
     for m in range(1, 19):
         np.testing.assert_array_equal(
@@ -178,21 +180,63 @@ def test_node_profile_equals_signed_oracle():
     assert elapsed < 30, f"node profiles m <= 18 took {elapsed:.1f} s"
 
 
-def test_profile_rows_equal_signed_oracle():
-    # every row `witness` reads, not only the root's, against the BFS over
-    # signed proper-subtree sizes
+def _proof_bits(rows, kind, m, v):
+    """Bits, in heap order from node 1, of a white-root coloring of T_m
+    with count v and rows[0][v] dichromatic edges, built as the proof in
+    `dp._profile_tables` splits a fewest signed sum: the child's size c
+    taken a times, plus a low part s with |s| <= c - h (node) or c - 1
+    (leaf), found in the child's row."""
+    bits = np.zeros(2 ** (m + 1), dtype=np.uint8)  # bits[0] is unused
+
+    def whole(node, h, color):
+        for level in range(h + 1):
+            first = node << level
+            bits[first : first + (1 << level)] = color
+
+    def build(node, h, v, flip):  # white root; every color is xor flip
+        bits[node] = flip
+        if h == 0:
+            assert v == 0
+            return
+        c = 2**h - 1 if kind == "node" else 2 ** (h - 1)
+        bound = c - h if kind == "node" else c - 1
+        d, child = rows[m - h][v], rows[m - h + 1]
+        a = next(
+            a for a in (0, 1, 2) if abs(v - a * c) <= bound and a + child[abs(v - a * c)] == d
+        )
+        s, left, right = v - a * c, 2 * node, 2 * node + 1
+        if a == 0:  # a white child takes s, the other is all white
+            build(left, h - 1, s, flip)
+            whole(right, h - 1, flip)
+        elif a == 1 and s >= 0:  # one child all black, a white one takes s
+            whole(left, h - 1, 1 - flip)
+            build(right, h - 1, s, flip)
+        else:  # a black child takes c + s; the other is white (a = 1) or black
+            build(left, h - 1, -s, 1 - flip)
+            whole(right, h - 1, flip if a == 1 else 1 - flip)
+
+    build(1, m, v, 0)
+    return bits[1:]
+
+
+def test_proof_coloring_attains_profile():
+    # the coloring the proof builds from each row meets the profile at
+    # every index, m <= 12, both kinds (about 4 s); a black root is the
+    # flip of a white root with the mirrored count
     start = time.perf_counter()
-    for kind, profile in (("node", node_profile), ("leaf", leaf_profile)):
-        for m in range(1, 17):
-            seed = profile(m, cap=16).witness_seed
-            rows = profile_rows_signed(m, kind)
-            assert len(seed) == len(rows) == m + 1
-            for depth, (got, want) in enumerate(zip(seed, rows)):
-                np.testing.assert_array_equal(
-                    got, want, err_msg=f"{kind} m={m} depth={depth}"
-                )
+    for kind, profile, count in (("node", node_profile, 0), ("leaf", leaf_profile, 1)):
+        for m in range(1, 13):
+            prof = profile(m)
+            rows, tree = prof.witness_seed, build_tree(m)
+            top = rows[0].size - 1
+            for index, want in prof.items():
+                white = rows[0][index] == want
+                bits = _proof_bits(rows, kind, m, index if white else top - index)
+                coloring = coloring_from_bits(tree, bits if white else 1 - bits)
+                assert count_dichromatic(coloring)[0] == want, (kind, m, index)
+                assert black_counts(coloring)[count] == index, (kind, m, index)
     elapsed = time.perf_counter() - start
-    assert elapsed < 30, f"profile rows m <= 16 took {elapsed:.1f} s"
+    assert elapsed < 30, f"proof colorings m <= 12 took {elapsed:.1f} s"
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,6 +305,13 @@ def test_achievable_set_rejects_out_of_range():
         achievable_set(2, 7)
     with pytest.raises(InvalidParameterError):
         achievable_set(2, -1)
+    # a bool would read as 0 or 1; a negative or fractional max_d used to
+    # reach numpy's own ValueError or TypeError
+    with pytest.raises(InvalidParameterError):
+        achievable_set(3, True)
+    for bad in (-1, 2.5, True, "2"):
+        with pytest.raises(InvalidParameterError, match="max_d"):
+            dp.feasible_pairs(3, bad)
     # the cap is on table cells: m = 20 stops at d = 5, and m = 23 has no
     # table under the cap at all; both refusals come before any table
     assert dp.pairs_depth_limit(20) == 5
@@ -273,8 +324,8 @@ def test_achievable_set_rejects_out_of_range():
 
 
 def test_achievable_profile_consistency():
-    # min over d with b in B(d) must reproduce the node profile; the two
-    # programs share the level merge but stop each level differently
+    # min over d with b in B(d) must reproduce the node profile: the FFT
+    # pairs merge against the integer sums of the profile route
     for m in range(1, 10):
         prof = node_profile(m)
         best = {}
@@ -294,9 +345,9 @@ def test_achievable_sets_share_tables():
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_node_profile_equals_first_feasible_depth(m):
-    # the node profile at b is the least d with F[d, b]: levels stopped
-    # at their covering row against levels cut at the profile's peak; the
-    # merge is shared, so the independent deep check is the signed oracle
+    # the node profile at b is the least d with F[d, b]: the integer sums
+    # of the profile route against the FFT pairs merge cut at the
+    # profile's peak, two independent routes
     prof = node_profile(m, cap=16)
     table = dp._feasible_pairs(m, int(prof.min_d.max()))
     assert table[:, 1:].any(axis=0).all()
@@ -355,17 +406,21 @@ def _seeded_row(k, seed, inf_share, top):
         ),
     ).filter(lambda xs: np.isfinite(xs).any()),
     st.integers(0, 20),
-    st.booleans(),
+    st.integers(0, 130),
 )
-@example(_seeded_row(10, 0, 0.0, 40), 3, False)  # 1025 entries, all finite
-@example(_seeded_row(10, 1, 0.9, 8), 0, True)  # 1025 entries, some columns never hit
-def test_minplus_equals_loop_oracle(values, offset, node):
-    # the first hits of one merged level of a child table that holds the
-    # row e are the min-plus square of e with its mirror one edge dearer
+@example(_seeded_row(10, 0, 0.0, 40), 3, 130)  # 1025 entries, all finite
+@example(_seeded_row(10, 1, 0.9, 8), 0, 130)  # 1025 entries, some columns never hit
+@example(_seeded_row(10, 0, 0.0, 40), 3, 50)  # cut below the deepest first hit
+def test_minplus_equals_loop_oracle(values, offset, max_d):
+    # the first hits of one merged level, cut at max_d, of a child table
+    # that holds the row e are the min-plus square of e with its mirror
+    # one edge dearer, where that is at most max_d
     e = np.asarray(values, dtype=float) + offset
-    merged = dp._merge_level(_indicator(e), node)
-    want = minplus_self_loop(np.minimum(e, e[::-1] + 1))
-    np.testing.assert_array_equal(dp._first_hits(merged), np.append(want, [np.inf] * node))
+    merged = dp._merge_level(_indicator(e), max_d)
+    want = np.append(minplus_self_loop(np.minimum(e, e[::-1] + 1)), np.inf)
+    want[want > max_d] = np.inf
+    assert len(merged) <= max_d + 1
+    np.testing.assert_array_equal(_first_hits(merged), want)
 
 
 def _indicator(row):
@@ -376,23 +431,9 @@ def _indicator(row):
     return table
 
 
-def test_minplus_stops_at_first_covering_row(monkeypatch):
-    # the top level of leaf_profile(14): the root row is reached long
-    # before the last of the 2 * rows - 1 output rows
-    seed = leaf_profile(14).witness_seed
-    child = _indicator(seed[1])
-    rows = len(child) + 1  # with the mirror one edge down
-    calls = []
-    irfft = np.fft.irfft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return irfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counted)
-    got = dp._first_hits(dp._merge_level(child, False))
-    np.testing.assert_array_equal(got, seed[0])
-    assert len(calls) == int(got.max()) + 1 < 2 * rows - 1
+def _first_hits(table):
+    """The first row of each column that holds a True, else inf."""
+    return np.where(table.any(axis=0), table.argmax(axis=0), np.inf)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -404,12 +445,33 @@ def test_feasible_pairs_equal_bigint_oracle(m):
         np.testing.assert_array_equal(got, want[: max_d + 1])
 
 
+def test_feasible_pairs_cut_equals_bigint_oracle():
+    # every level of the big-integer merge cut at d <= 8, against the FFT
+    # merge at every m <= 12 (about 6 s, 3.7 s of it at m = 12)
+    start = time.perf_counter()
+    for m in range(1, 13):
+        want = feasible_pairs_bigint(m, max_d=8).T  # the oracle is indexed [b, d]
+        np.testing.assert_array_equal(dp._feasible_pairs(m, 8), want, err_msg=f"m={m}")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"cut feasible pairs m <= 12 took {elapsed:.1f} s"
+
+
 def test_fft_residual_guard_raises(monkeypatch):
     irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
-    for build in (node_profile, leaf_profile, lambda m: dp._feasible_pairs.__wrapped__(m, 3)):
-        with pytest.raises(DichromatError, match="residual"):
-            build(3)
+    calls = []
+
+    def off(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs) + 0.3
+
+    monkeypatch.setattr(np.fft, "irfft", off)
+    with pytest.raises(DichromatError, match="residual"):
+        dp._feasible_pairs.__wrapped__(3, 3)
+    # profiles are integer sums: no FFT runs, so there is no residual
+    calls.clear()
+    node_profile(14)
+    leaf_profile(14)
+    assert calls == []
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
