@@ -14,7 +14,7 @@ import numpy as np
 
 from .dp import feasible_pairs, leaf_profile, node_profile, pairs_depth_limit
 from .errors import InvalidParameterError
-from .tree import check_depth
+from .tree import check_depth, is_int
 
 VERIFY_KINDS = ("lemma22", "thm27", "lipschitz_node", "lipschitz_leaf", "cor25")
 
@@ -43,7 +43,7 @@ def theorem_leaf_bound(m: int) -> int:
 def lemma_cardinality_bound(m: int, d: int) -> int:
     """2**d * m**d, exact.  Python integers cannot overflow, so no
     saturation is ever needed.  A bool is no count."""
-    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in (m, d)):
+    if not all(is_int(x) and x >= 0 for x in (m, d)):
         raise InvalidParameterError(f"m and d must be integers >= 0, got {m!r}, {d!r}")
     return (2 ** d) * (m ** d)
 

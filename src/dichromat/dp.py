@@ -6,13 +6,18 @@ nodes (node profile, achievable sets) or black leaves (leaf profile).
 Swapping every color keeps the dichromatic count and maps v to size - v,
 so a black-root row or table is read as the mirror of the white-root one.
 
-Profiles.  Each dichromatic edge of a white-root coloring adds or takes
-away the size of the subtree under it, and the `_profile_tables`
-docstring proves that the least dichromatic count at v is exactly the
-fewest such signed proper-subtree sizes summing to v.  So each depth's
-row is one layered boolean BFS over integer sums, with no float
-arithmetic.  Unreachable values are ``numpy.inf``, never a large integer
-that arithmetic could overflow into a real count.
+Profiles.  Each depth's white-root row is built from the row its two
+children share by the minimum of four terms, one per way an optimal
+coloring splits between the children: one child takes the count and the
+other is all white, or one is all black and the other takes the rest,
+the child that takes it being white or black (`_profile_tables`).  That
+is a few vector operations over the row per depth.  Its proof also shows
+that the least dichromatic count at v is exactly the fewest signed
+proper-subtree sizes summing to v: each dichromatic edge of a white-root
+coloring adds or takes away the size of the subtree under it.  The rows
+hold small whole numbers, exact in float64; unreachable values are
+``numpy.inf``, never a large integer that arithmetic could overflow into
+a real count.
 
 Achievable sets.  The boolean table F[d, b] climbs with one level merge,
 `_merge_level`: extend the white-root child table with its mirror shifted
@@ -31,7 +36,7 @@ its depth, color and budget, so each level solves it once per distinct
 costs, and every node reads the choice of its state.
 
 Caps keep accidental exponential-memory requests out: profiles default to
-depth 14, and achievable-set tables to `PAIRS_CELLS_CAP` cells:
+depth 18, and achievable-set tables to `PAIRS_CELLS_CAP` cells:
 `pairs_depth_limit` is the one place that turns the cell cap into a
 depth, before anything of size 2**m is formed.  Pass ``cap=`` explicitly (or
 set ``DICHROMAT_MAX_M`` when going through the CLI) to move the profile
@@ -57,10 +62,11 @@ from .tree import (
     check_depth,
     coloring_from_bits,
     count_dichromatic,
+    is_int,
     max_matching,
 )
 
-DEFAULT_PROFILE_CAP = 14
+DEFAULT_PROFILE_CAP = 18
 
 # Largest F[d, b] table `_feasible_pairs` may build, in cells.  A
 # one-row table costs the most per cell (the spectrum row and the
@@ -90,7 +96,7 @@ class DpProfile:
     witness_seed: tuple[np.ndarray, ...] = field(repr=False)
 
     def __getitem__(self, index: int) -> int:
-        if not _is_int(index):
+        if not is_int(index):
             raise InvalidParameterError(
                 f"index must be an integer, got {type(index).__name__}"
             )
@@ -108,11 +114,6 @@ class DpProfile:
         """Smallest index attaining the maximum value, with that value."""
         pos = int(np.argmax(self.min_d))
         return self.index_range.start + pos, int(self.min_d[pos])
-
-
-def _is_int(value) -> bool:
-    """An int and no bool: a bool would read as 0 or 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) -> None:
@@ -190,19 +191,30 @@ def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
     white root and count v, inf where there is none; the black-root row
     is tables[k][::-1].
 
-    Row k holds S(v), the fewest terms +-x summing to v, the x taken with
-    repeats from the proper-subtree sizes of a subtree of height
-    h = m - k: x_j = 2**j - 1 nodes, 1 <= j <= h, for the node kind, and
-    x_j = 2**j leaves, 0 <= j < h, for the leaf kind.  S comes from a
-    layered boolean BFS over the sums in [-w, 2w], w the row's last
-    count.  That range loses no sum: the terms of a sum of v, 0 <= v <= w,
-    can be ordered to take a positive one while the partial sum is at
-    most v and a negative one otherwise, which keeps every partial sum
-    within w of v.  The node kind's count w, every node black, has no
-    white root and is inf.
+    A subtree of height h takes its row R from the row r its two children
+    share, with c the child's size, 2**h - 1 nodes (node kind) or
+    2**(h-1) leaves (leaf kind), and r read as inf out of its range:
 
-    Why S is the least dichromatic count R, for 0 <= v <= w (v < w for
-    the node kind); c is the size of a child, x_h (node) or x_(h-1) (leaf):
+        R(v) = min(r[v], 1 + r[c - v], 1 + r[v - c], 2 + r[2c - v])
+
+    Either one child takes v, white (r[v]) or black (1 + r[c - v], its
+    mirror), and the other is all white; or one child is all black, over
+    one dichromatic edge, and the other takes v - c, white (1 + r[v - c])
+    or black (2 + r[2c - v]).  The terms pair up: with
+    e[u] = min(r[u], 1 + r[c - u]), the child taking u under a white
+    root, R(v) is e[v] for v <= c and 1 + e[v - c] above it (at v = c,
+    1 + e[0] = 1 is no less than e[c]).  The height-0 row is [0, inf], a
+    white node or leaf; the node kind's count 2c + 1, every node black,
+    is out of every term's range, so it is inf.
+
+    Why the four terms are enough, by induction on h: the height-0 row
+    is exact, and above it r is the child's exact row, so each term is
+    the count of a coloring and R is at most their minimum.  Write S(v)
+    for the fewest terms +-x summing to v, the x taken with repeats from
+    the proper-subtree sizes of the subtree: x_j = 2**j - 1 nodes,
+    1 <= j <= h, for the node kind, and x_j = 2**j leaves, 0 <= j < h,
+    for the leaf kind; c = x_h (node) or x_(h-1) (leaf).  For
+    0 <= v <= w, w the row's last count (v < w for the node kind):
 
     - R >= S.  A dichromatic edge (p, q) of a white-root coloring adds
       the size of the subtree under q if q is black and takes it away if
@@ -217,38 +229,25 @@ def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
       so |s| <= c - h (node) or c - 1 (leaf), plus c taken a times, with
       one sign.  As |s| < c and 0 <= v <= 2c, that sign is + and a is 0,
       1 or 2, and s <= 0 where a = 2.
-    - R <= S, by induction on h; at h = 0 there are no sizes and v = 0 has
-      d = 0.  The low part is a signed sum of the child's proper-subtree
-      sizes, so a white-root child colors |s| at a cost of at most its
-      length; a black child with count u costs 1 + R_child(c - u).
-      a = 0: one white child takes s, the other is all white.  a = 1,
-      s >= 0: one child is all black, the other, white, takes s.  a = 1,
-      s < 0: a black child takes c + s, at 1 + R_child(-s), the other is
-      all white.  a = 2: a black child takes c + s, the other is all
-      black.  Each child's count lies in its range, and the children's
-      costs add up to at most a plus the length of the low part.
+    - S >= the minimum of the terms, r being the child's S by the
+      induction (at h = 0 there are no sizes and v = 0 has d = 0).  The
+      low part, or its negation, is a signed sum of the child's
+      proper-subtree sizes, so r[|s|] is at most its length.  a = 0 is
+      the term r[v], as s = v.  a = 1, s >= 0 is 1 + r[v - c], as
+      s = v - c.  a = 1, s < 0 is 1 + r[c - v], as -s = c - v.  a = 2 is
+      2 + r[2c - v], as -s = 2c - v.  Each index lies in the child's
+      range.
+
+    So R = S = the minimum of the four terms.
     """
-    tables = []
-    for h in range(m, -1, -1):
-        if kind == NODE:
-            sizes, w = [2**j - 1 for j in range(1, h + 1)], 2 ** (h + 1) - 1
-        else:
-            sizes, w = [2**j for j in range(h)], 2**h
-        fewest = np.full(3 * w + 1, np.inf)  # the sum s sits at s + w
-        fewest[w] = 0
-        frontier, layer = fewest == 0, 0
-        while frontier.any():
-            layer += 1
-            step = np.zeros_like(frontier)
-            for size in sizes:
-                step[size:] |= frontier[:-size]
-                step[:-size] |= frontier[size:]
-            frontier = step & (fewest == np.inf)
-            fewest[frontier] = layer
-        if kind == NODE:
-            fewest[2 * w] = np.inf
-        tables.append(fewest[w : 2 * w + 1].copy())
-    return tables
+    row = np.array([0.0, np.inf])
+    tables = [row]
+    all_black = [np.inf] if kind == NODE else []
+    for _ in range(m):
+        either = np.minimum(row, 1 + row[::-1])
+        row = np.concatenate((either, 1 + either[1:], all_black))
+        tables.append(row)
+    return tables[::-1]
 
 
 def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
@@ -377,7 +376,7 @@ def feasible_pairs(m: int, max_d: int, cap: int | None = None) -> np.ndarray:
 
     Raises `CapacityError` where ``max_d`` passes `pairs_depth_limit`.
     """
-    if not _is_int(max_d) or max_d < 0:
+    if not is_int(max_d) or max_d < 0:
         raise InvalidParameterError(f"max_d must be an integer >= 0, got {max_d!r}")
     if max_d > pairs_depth_limit(m, cap):
         raise CapacityError(
@@ -417,7 +416,7 @@ def achievable_set(m: int, d: int, cap: int | None = None) -> AchievableSet:
     """Exact B_m(d), restricted to black counts >= 1."""
     limit = pairs_depth_limit(m, cap)
     max_d = 2 ** (m + 1) - 2
-    if not _is_int(d) or not 0 <= d <= max_d:
+    if not is_int(d) or not 0 <= d <= max_d:
         raise InvalidParameterError(f"d must lie in 0..{max_d}, got {d!r}")
     # built to depth 2**k - 1 where the cap allows, so queries at rising d
     # share a few tables; a d past the cap is refused by feasible_pairs

@@ -50,6 +50,7 @@ from .tree import (
     EdgeSet,
     coloring_from_bits,
     dichromatic_children,
+    is_int,
     max_matching,
 )
 
@@ -181,6 +182,8 @@ class SweepoutTrace:
 
     def row(self, t: int) -> np.ndarray:
         """Row ``t``, read-only; the last row asked for is kept."""
+        if not is_int(t):
+            raise InvalidParameterError(f"step must be an integer, got {t!r}")
         if self._row is None or self._row[0] != t:
             for start, cols, values, row in _walk(self):
                 if 0 <= t - start < len(values):
@@ -329,7 +332,7 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     step it finds.
     """
     leaf_count = trace.graph.tree.leaf_count
-    if not isinstance(a, int) or not 1 <= a <= leaf_count:
+    if not is_int(a) or not 1 <= a <= leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
     leaves = trace.graph.leaf_cols
@@ -378,9 +381,9 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
     alpha; a failure is an admissibility violation and raised as such.
     """
     tree = trace.graph.tree
-    if not 0 <= t0 < trace.shape[0]:
-        raise InvalidParameterError(f"t0={t0} outside the trace")
-    if not isinstance(a, int) or not 1 <= a <= tree.leaf_count:
+    if not is_int(t0) or not 0 <= t0 < trace.shape[0]:
+        raise InvalidParameterError(f"t0={t0!r} outside the trace")
+    if not is_int(a) or not 1 <= a <= tree.leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{tree.leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
     row = trace.row(t0)
@@ -577,10 +580,10 @@ def generate_trace(
     """Build a valid trace; see `STRATEGIES` for the fill orders.
 
     ``delta`` defaults to alpha/4, which keeps every strategy admissible.
-    ``seed`` only affects ``random-monotone``, where it must be >= 0
-    (`InvalidParameterError` otherwise, before any per-entry array); for
-    a fixed seed the trace is bit-for-bit reproducible, and no seed means
-    seed 0.  Raises `CapacityError` before any per-entry array exists
+    ``seed``, an integer or None, only affects ``random-monotone``, where
+    it must be >= 0 (`InvalidParameterError` otherwise, before any
+    per-entry array); for a fixed seed the trace is bit-for-bit
+    reproducible, and no seed means seed 0.  Raises `CapacityError` before any per-entry array exists
     when the cells one pass over the trace reads, `_trace_cells` of
     `_trace_rows` rows counted from the four volume classes, would exceed
     `TRACE_BYTES_CAP`.  The fills and uniform are made block by block as
@@ -590,6 +593,8 @@ def generate_trace(
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
         )
+    if seed is not None and not is_int(seed):
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
     if strategy == "random-monotone" and seed is not None and seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     graph = region_graph(m, params)

@@ -84,9 +84,14 @@ class TreeShape:
             )
 
 
+def is_int(value) -> bool:
+    """An int and no bool: a bool would read as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_depth(m: int) -> None:
     """Refuse a depth that is not an integer >= 1; a bool is no depth."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not is_int(m) or m < 1:
         raise InvalidParameterError(f"depth m must be an integer >= 1, got {m!r}")
 
 

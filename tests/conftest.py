@@ -167,32 +167,53 @@ def leaf_profile_naf(m: int) -> np.ndarray:
     return np.minimum(naf_weight(t), naf_weight(2**m - t))
 
 
+def profile_rows_signed(m: int, kind: str) -> list[np.ndarray]:
+    """The per-depth white-root rows of a depth-m profile, index 0 = root,
+    as `DpProfile.witness_seed` holds them, with no dynamic program.
+
+    Row k, of a subtree of height h = m - k, holds at each count v the
+    fewest terms +-x summing to v, the x taken with repeats from the
+    proper-subtree sizes: 2**j - 1 nodes, 1 <= j <= h, for the node kind,
+    and 2**j leaves, 0 <= j < h, for the leaf kind.  That this is the least
+    dichromatic count is the proof in the `dichromat.dp._profile_tables`
+    docstring.  A count no sum reaches is inf, and so is the node kind's
+    all-black count, which a white root cannot have.
+
+    Layered boolean BFS over the sums in [-w, 2w], w the row's last count.
+    That range loses no sum: the terms of a sum of v, 0 <= v <= w, can be
+    taken in an order that adds a positive one while the partial sum is
+    at most v and a negative one while it is above v (the ones left then
+    sum to v minus the partial sum, so one of that sign is left).  Every
+    magnitude is below w, so each partial sum stays in (v - w, v + w]."""
+    rows = []
+    for h in range(m, -1, -1):
+        if kind == "node":
+            sizes, w = [2**j - 1 for j in range(1, h + 1)], 2 ** (h + 1) - 1
+        else:
+            sizes, w = [2**j for j in range(h)], 2**h
+        fewest = np.full(3 * w + 1, np.inf)  # the sum s sits at s + w
+        fewest[w] = 0
+        frontier, layer = fewest == 0, 0
+        while frontier.any():
+            layer += 1
+            step = np.zeros_like(frontier)
+            for size in sizes:
+                step[size:] |= frontier[:-size]
+                step[:-size] |= frontier[size:]
+            frontier = step & (fewest == np.inf)
+            fewest[frontier] = layer
+        if kind == "node":
+            fewest[2 * w] = np.inf
+        rows.append(fewest[w : 2 * w + 1].copy())
+    return rows
+
+
 def node_profile_signed(m: int) -> np.ndarray:
     """The node profile at b = 1..N, N = 2**(m+1) - 1, as the fewest terms
-    +-(2**j - 1), 1 <= j <= m, summing to b or to N - b, with no dynamic
-    program.  A coloring with d dichromatic edges writes b (white root) or
-    N - b (black root) as a signed sum of d node-subtree sizes, so d is at
-    least that count; that it is met is the proof in the
-    `dichromat.dp._profile_tables` docstring.  Layered boolean BFS over the
-    sums in [-N, 2N]."""
-    n = 2 ** (m + 1) - 1
-    reached = np.zeros(3 * n + 1, dtype=bool)  # the sum s sits at s + n
-    reached[n] = True
-    frontier = reached.copy()
-    fewest = np.full(n + 1, -1)  # over the sums 0..n
-    fewest[0] = 0
-    layer = 0
-    while (fewest < 0).any():
-        layer += 1
-        step = np.zeros_like(frontier)
-        for size in (2**j - 1 for j in range(1, m + 1)):
-            step[size:] |= frontier[:-size]
-            step[:-size] |= frontier[size:]
-        frontier = step & ~reached
-        reached |= frontier
-        fewest[frontier[n : 2 * n + 1]] = layer
-    b = np.arange(1, n + 1)
-    return np.minimum(fewest[b], fewest[n - b])
+    +-(2**j - 1), 1 <= j <= m, summing to b or to N - b: the root row of
+    `profile_rows_signed` and its mirror, the black-root row."""
+    root = profile_rows_signed(m, "node")[0]
+    return np.minimum(root, root[::-1])[1:]
 
 
 def render_dot_lines(coloring: Coloring) -> str:

@@ -33,6 +33,7 @@ from conftest import (
     leaf_profile_naf,
     minplus_self_loop,
     node_profile_signed,
+    profile_rows_signed,
     profile_tables_two_color,
     random_coloring,
     witness_loop,
@@ -113,8 +114,8 @@ def test_witness_deterministic():
 @pytest.mark.parametrize("build", [node_profile, leaf_profile])
 def test_profile_rows_mirror_two_color_oracle(build, m):
     # one white-root row per depth, every row `witness` reads, against the
-    # min-plus recurrence up to the default cap; its mirror is the
-    # black-root row (0.7 s for the oracle at node m = 14)
+    # min-plus recurrence to m = 14; its mirror is the black-root row
+    # (0.7 s for the oracle at node m = 14)
     prof = build(m)
     want = profile_tables_two_color(m, prof.kind)
     assert len(prof.witness_seed) == len(want) == m + 1
@@ -122,6 +123,32 @@ def test_profile_rows_mirror_two_color_oracle(build, m):
         assert row.ndim == 1
         assert np.array_equal(row, table[0])
         assert np.array_equal(row[::-1], table[1])
+
+
+def test_profile_rows_equal_signed_oracle():
+    # every row `witness` reads, against the fewest signed subtree sizes
+    # by a BFS over sums, a route the four-term recurrence shares nothing
+    # with, at every depth up to 16, both kinds (about 0.2 s)
+    start = time.perf_counter()
+    for kind, build in (("node", node_profile), ("leaf", leaf_profile)):
+        for m in range(1, 17):
+            got = build(m, cap=16).witness_seed
+            want = profile_rows_signed(m, kind)
+            assert len(got) == len(want) == m + 1
+            for k, (row, expect) in enumerate(zip(got, want)):
+                assert row.dtype == expect.dtype, (kind, m, k)
+                assert np.array_equal(row, expect), (kind, m, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"signed rows m <= 16 took {elapsed:.1f} s"
+
+
+def test_profile_rows_build_in_linear_time():
+    # a few vector operations per depth: node m = 20 takes about 0.03 s,
+    # where a BFS over sums took about 1 s
+    start = time.perf_counter()
+    node_profile(20, cap=20)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"node profile m = 20 took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -157,7 +184,7 @@ def test_witness_equals_loop_oracle_m14(build, index):
 
 def test_leaf_profile_equals_naf_oracle():
     # min(naf(t), naf(2**m - t)) from bit arithmetic alone, against the
-    # profile route at every depth up to 18 (0.05 s for the route at m = 18)
+    # profile at every depth up to 18, the default cap
     start = time.perf_counter()
     for m in range(1, 19):
         np.testing.assert_array_equal(
@@ -168,9 +195,9 @@ def test_leaf_profile_equals_naf_oracle():
 
 
 def test_node_profile_equals_signed_oracle():
-    # the fewest signed node-subtree sizes at the root alone, by a BFS
-    # over sums, against the per-depth route at every depth up to 18
-    # (0.14 s for the route at m = 18)
+    # the fewest signed node-subtree sizes at the root, by the BFS over
+    # sums, against the profile at every depth up to 18, the default cap
+    # (the BFS takes nearly all of the time)
     start = time.perf_counter()
     for m in range(1, 19):
         np.testing.assert_array_equal(
@@ -276,9 +303,11 @@ def test_leaf_witness_is_lexicographic_minimum_m4():
 
 def test_profile_cap():
     with pytest.raises(CapacityError):
-        node_profile(15)
+        node_profile(19)
     with pytest.raises(CapacityError):
-        leaf_profile(15)
+        leaf_profile(19)
+    assert node_profile(18).index_range == range(1, 2**19)
+    assert leaf_profile(18).index_range == range(0, 2**18 + 1)
     node_profile(3, cap=3)
     with pytest.raises(CapacityError):
         node_profile(4, cap=3)

@@ -265,6 +265,42 @@ def test_special_slice_rejects_bad_a(params):
         induce_coloring(trace, 1, 0)
 
 
+# a bool would read as 0 or 1, and a float or a string used to leak a
+# TypeError from deep inside; each is refused up front
+NOT_INTS = [True, False, 1.5, "2", np.float64(1.0)]
+
+
+@pytest.mark.parametrize("a", NOT_INTS)
+def test_special_slice_rejects_non_int_a(params, a):
+    trace = generate_trace("uniform", 2, params)
+    with pytest.raises(InvalidParameterError, match="a must"):
+        find_special_slice(trace, a)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_induce_coloring_rejects_non_int(params, bad):
+    trace = generate_trace("uniform", 2, params)
+    t0 = find_special_slice(trace, 1)
+    with pytest.raises(InvalidParameterError, match="t0"):
+        induce_coloring(trace, bad, 1)
+    with pytest.raises(InvalidParameterError, match="a must"):
+        induce_coloring(trace, t0, bad)
+
+
+@pytest.mark.parametrize("strategy", ["random-monotone", "uniform"])
+@pytest.mark.parametrize("seed", NOT_INTS)
+def test_generate_trace_rejects_non_int_seed(params, strategy, seed):
+    with pytest.raises(InvalidParameterError, match="seed"):
+        generate_trace(strategy, 2, params, seed=seed)
+
+
+@pytest.mark.parametrize("t", NOT_INTS)
+def test_trace_row_rejects_non_int_step(params, t):
+    trace = generate_trace("uniform", 2, params)
+    with pytest.raises(InvalidParameterError, match="step"):
+        trace.row(t)
+
+
 def test_induced_coloring_black_leaf_census(params):
     for m in (2, 3):
         a = a_of_m(m)
