@@ -69,7 +69,7 @@ def disjoint_pairs_guarantee(k: int, b: int, b_m: int) -> int:
     Each dichromatic edge meets at most four others (max degree 3), hence
     the division by five.
     """
-    if not all(isinstance(x, int) for x in (k, b, b_m)) or k < 0:
+    if not all(map(is_int, (k, b, b_m))) or k < 0:
         raise InvalidParameterError("k, b, b_m must be integers with k >= 0")
     return max(0, _ceil_div(k - abs(b - b_m), 5))
 

@@ -24,7 +24,7 @@ Achievable sets.  The boolean table F[d, b] climbs with one level merge,
 down one d row, then take the support of its 2-D self-convolution, cut at
 ``max_d``: merging only adds dichromatic edges, so rows past it never
 feed rows at or below it.  A real FFT runs along the wide count axis,
-zero padded to the next 2**a * 3**b * 5**c, and the output rows come out
+zero padded to the next power of two, and the output rows come out
 one at a time, in order, each summed over each unordered pair of input
 rows once.  Before it is thresholded, every row must lie within 0.25 of
 an integer vector, or `DichromatError` is raised.
@@ -123,21 +123,6 @@ def _check_depth(m: int, cap: int | None, default_cap: int | None, what: str) ->
         raise CapacityError(f"{what} is capped at m={effective}, got m={m}")
 
 
-def _fft_length(width: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= ``width``: a length the real FFT
-    runs at close to power-of-two speed, with far less padding."""
-    best = 1 << (width - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # the smallest power-of-two multiple of odd that covers width
-            best = min(best, odd << (-(-width // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
-
-
 def _self_convolve_rows(x: np.ndarray) -> Iterator[np.ndarray]:
     """Rows of the support of the 2-D self-convolution of a 0/1 array, in
     order: an (r, c) input gives 2r-1 boolean rows of 2c-1 columns.  Each
@@ -146,7 +131,7 @@ def _self_convolve_rows(x: np.ndarray) -> Iterator[np.ndarray]:
     cheap."""
     rows, cols = x.shape
     width = 2 * cols - 1
-    n = _fft_length(width)
+    n = 1 << (width - 1).bit_length()  # a power of two covering width
     spectra = np.fft.rfft(x, n=n, axis=1)
     acc = np.empty(n // 2 + 1, dtype=complex)
     frac = np.empty(n)

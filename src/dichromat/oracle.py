@@ -18,7 +18,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
-from .tree import BLACK, WHITE, Coloring, TreeShape, build_tree, check_depth, coloring_from_bits
+from .tree import (
+    BLACK, WHITE, Coloring, TreeShape, build_tree, check_depth, coloring_from_bits, is_int
+)
 
 FULL_ENUMERATION_CAP = 3
 LEAF_CONSTRAINED_CAP = 4
@@ -161,7 +163,7 @@ def enumerate_leaf_constrained(
             f"use dichromat.dp.leaf_profile for m={m}"
         )
     leaf_count = 2 ** m
-    if not isinstance(t, int) or not 0 <= t <= leaf_count:
+    if not is_int(t) or not 0 <= t <= leaf_count:
         raise InvalidParameterError(f"t must lie in 0..{leaf_count}, got {t!r}")
 
     if m <= FULL_ENUMERATION_CAP:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
@@ -72,13 +71,9 @@ _CSV_HEADER = "step,entry,volume"
 _CSV_CHUNK = 1 << 17
 # every character `str.splitlines` breaks a line at
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# the bytes of a block `trace_read_csv` parses as bytes (`_parse_bytes`), and
-# its least length: a shorter block costs less split into lines than the
-# byte route's few dozen array calls
+# the bytes of a block `trace_read_csv` parses as bytes (`_parse_bytes`)
 _CSV_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz:.,+-\n"
-_CSV_BYTES_MIN = 1 << 13
-_STEP_DIGITS = 18  # the longest step parsed from its digits; 10**18 < 2**63
-_FIELD_BYTES = 32  # the longest entry or volume field deduplicated by bytes
+_FIELD_BYTES = 32  # the longest field deduplicated by bytes
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], np.uint64)
 
 # (first step, columns, values): rows x every column, or one column and
@@ -114,7 +109,8 @@ class SweepoutTrace:
     wraps a dense table as row blocks.  `generate_trace` makes the fill
     and uniform traces from their rule, block by block, the fills as
     their empty row and then event blocks; for those, ``steps`` builds
-    the dense table on demand, refused past `TRACE_BYTES_CAP`.
+    the dense table on demand, one row per step, refused past
+    `TRACE_BYTES_CAP`.  No pass in the package reads ``steps``.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
@@ -160,22 +156,11 @@ class SweepoutTrace:
                 if values.ndim == 2:
                     steps[start : start + len(values)] = values
                     continue
-                # spans of about `_BLOCK_CELLS` cells; each cell takes the
-                # last event on its column at or before its row, found by a
-                # running maximum of event indices down the span, else the
-                # row before the span
-                span = max(1, _BLOCK_CELLS // row.size)
-                before = row
-                for s in range(0, cols.size, span):
-                    c = cols[s : s + span]
-                    last = np.full((c.size, row.size), -1)
-                    last[np.arange(c.size), c] = np.arange(s, s + c.size)
-                    np.maximum.accumulate(last, axis=0, out=last)
-                    rows = steps[start + s : start + s + c.size]
-                    rows[:] = before
-                    hit = last >= 0
-                    rows[hit] = values[last[hit]]
-                    before = rows[-1]
+                # each step is the one before with its event's column set
+                current = row.copy()
+                for s, (c, v) in enumerate(zip(cols.tolist(), values.tolist()), start):
+                    current[c] = v
+                    steps[s] = current
             steps.flags.writeable = False
             self._steps = steps
         return self._steps
@@ -305,15 +290,9 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
         # NaN fails `inside`, so a block holding one is never skipped
         if inside.all() and jumps.max() <= jump_limit:
             continue
-        violations: list[tuple[int, str]] = []
-        bad = np.flatnonzero(~inside.all(axis=1))
-        if bad.size:
-            violations.append((start + int(bad[0]), _OUTSIDE))
-        too_big = np.flatnonzero(jumps.max(axis=1) > jump_limit)
-        if too_big.size:
-            violations.append((start + int(too_big[0]), too_far))
-        step, message = min(violations, key=lambda v: v[0])
-        return ValidationReport(False, message, step)
+        outside = ~inside.all(axis=1)
+        i = int(np.argmax(outside | (jumps.max(axis=1) > jump_limit)))
+        return ValidationReport(False, _OUTSIDE if outside[i] else too_far, start + i)
     if np.abs(row - caps).max() > tol:
         return ValidationReport(False, "last step is not the full vector", trace.shape[0] - 1)
     return ValidationReport(True)
@@ -390,16 +369,15 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
     leaf_vols = row[trace.graph.leaf_cols]
 
     margin = alpha + trace.step_bound
-    locked = [int(i) for i in np.flatnonzero(leaf_vols > margin)]
-    strict = [int(i) for i in np.flatnonzero((leaf_vols > alpha) & (leaf_vols <= margin))]
-    level = [int(i) for i in np.flatnonzero(leaf_vols == alpha)]
-    chosen = (locked + strict + level)[:a]
-    if len(chosen) < a:
-        raise TraceError(f"only {len(chosen)} leaves reach alpha at step {t0}")
+    locked = np.flatnonzero(leaf_vols > margin)
+    strict = np.flatnonzero((leaf_vols > alpha) & (leaf_vols <= margin))
+    level = np.flatnonzero(leaf_vols == alpha)
+    chosen = np.concatenate((locked, strict, level))[:a]
+    if chosen.size < a:
+        raise TraceError(f"only {chosen.size} leaves reach alpha at step {t0}")
 
     bits = np.zeros(tree.node_count, dtype=np.uint8)
-    for offset in chosen:
-        bits[tree.first_leaf - 1 + offset] = BLACK
+    bits[tree.first_leaf - 1 + chosen] = BLACK
     internal_vols = row[: tree.first_leaf - 1]
     bits[: tree.first_leaf - 1] = np.where(internal_vols >= alpha, BLACK, WHITE)
 
@@ -640,11 +618,9 @@ def generate_trace(
 def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
     """Line-oriented CSV: step index, entry id, volume (shortest exact float).
 
-    Each row reformats only the cells whose float bits changed since the
-    previous row, so ``-0.0`` and NaN keep their text; row 0 is compared
-    with its own complement, so all of its cells are formatted.  One pass
-    over the blocks: a row of a row block compares every column, a step
-    of an event block formats its one cell.
+    One pass over the blocks: a row of a row block formats every cell, a
+    step of an event block only its one changed cell, and the other
+    cells keep the text of the step before.
     """
     own = isinstance(target, (str, Path))
     fh = open(target, "w") if own else target
@@ -653,21 +629,16 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
         # column c's text is cells[c + 1]; a row's lines are cells joined by its step
         cells = [""] * (len(prefix) + 1)
         fh.write(_CSV_HEADER + "\n")
-        for start, cols, values, row in _walk(trace):
+        for start, cols, values in trace.blocks():
             steps = range(start, start + len(values))
             if values.ndim == 1:
                 for s, c, v in zip(steps, cols.tolist(), values.tolist()):
                     cells[c + 1] = f"{prefix[c]}{v!r}\n"
                     fh.write(str(s).join(cells))
                 continue
-            bits = values.view(np.uint64)
-            prev = ~bits[0] if start == 0 else row.view(np.uint64)
-            for s, line in zip(steps, bits):
-                changed = np.flatnonzero(line != prev)
-                for c, v in zip(changed.tolist(), values[s - start, changed].tolist()):
-                    cells[c + 1] = f"{prefix[c]}{v!r}\n"
+            for s, line in zip(steps, values.tolist()):
+                cells[1:] = [f"{p}{v!r}\n" for p, v in zip(prefix, line)]
                 fh.write(str(s).join(cells))
-                prev = line
     finally:
         if own:
             fh.close()
@@ -723,18 +694,16 @@ def _parse_bytes(text: str, col_of: dict[str, int]) -> tuple[int, Records] | Non
     """The line count and records of a block, parsed as one byte array, or
     None when the block takes the line route, `_parse_lines`.
 
-    A block qualifies when it is ASCII of `_CSV_BYTES` only, at least
-    `_CSV_BYTES_MIN` characters long, ends with ``\\n``, and every line is
-    a step of digits, an entry and a volume, three nonempty fields split
-    by two commas.  The step is read from its digits by array arithmetic,
-    up to `_STEP_DIGITS` of them.  Entries and volumes, up to
-    `_FIELD_BYTES` each, are deduplicated by their bytes, so each distinct
-    text gets one ``col_of`` lookup or one ``float``.  Those are the
-    lines, fields and values the line route reads.  Any other block, and
-    every block with an unknown entry or a non-finite volume, goes there,
-    and that route names the first bad line.
+    A block qualifies when it is ASCII of `_CSV_BYTES` only, ends with
+    ``\\n``, and every line is three nonempty fields split by two commas.
+    Each field, up to `_FIELD_BYTES` long, is deduplicated by its bytes,
+    so each distinct text gets one ``int``, one ``col_of`` lookup or one
+    ``float``.  Those are the lines, fields and values the line route
+    reads.  Any block that fails, a field too long, a bad value, a
+    negative step or one past int64, goes there, and that route names
+    the first bad line.
     """
-    if len(text) < _CSV_BYTES_MIN or not text.endswith("\n") or not text.isascii():
+    if not text.endswith("\n") or not text.isascii():
         return None
     raw = text.encode("ascii")
     if raw.translate(None, _CSV_BYTES):
@@ -753,37 +722,20 @@ def _parse_bytes(text: str, col_of: dict[str, int]) -> tuple[int, Records] | Non
     if not ((starts < first) & (first + 1 < second) & (second + 1 < ends)).all():
         return None
     windows = as_strided(buf, (buf.size - pad, pad), (1, 1), writeable=False)
-    step = _digits(windows, starts, first)
+    step = _distinct(windows, starts, first)
     entry = _distinct(windows, first + 1, second)
     volume = _distinct(windows, second + 1, ends)
     if step is None or entry is None or volume is None:
         return None
     try:
+        steps = np.array(list(map(int, step[0])), np.int64)
         cols = np.array([col_of[ident.decode()] for ident in entry[0]], np.intp)
         values = np.array(list(map(float, volume[0])), np.float64)
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, OverflowError):
         return None
-    if not np.isfinite(values).all():
+    if steps.min() < 0 or not np.isfinite(values).all():
         return None
-    return ends.size, (step, cols[entry[1]], values[volume[1]])
-
-
-def _digits(windows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The fields ``[lo, hi)`` of a block as decimal int64, or None for a
-    field past `_STEP_DIGITS` bytes or with a byte that is not a digit.
-    ``windows[i]`` holds the block's bytes from ``i`` on; each field is
-    read right-aligned in one, the bytes before it taken as leading
-    zeros."""
-    width = hi - lo
-    w = int(width.max())
-    if w > _STEP_DIGITS:
-        return None
-    digits = windows[hi - w, :w]
-    digits[np.arange(w) < (w - width)[:, None]] = ord("0")
-    digits -= ord("0")  # a byte below "0" wraps past 9
-    if (digits > 9).any():
-        return None
-    return digits @ 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    return ends.size, (steps[step[1]], cols[entry[1]], values[volume[1]])
 
 
 def _distinct(
@@ -817,37 +769,21 @@ def _distinct(
 def _parse_lines(
     lines: list[str], first_lineno: int, col_of: dict[str, int]
 ) -> tuple[int, Records | None]:
-    """The line count and records of a block, split into ``lines``: every
-    text ``int``, ``col_of`` and ``float`` read, blank lines skipped.  The
+    """The line count and records of a block, split into ``lines``, read
+    one line at a time by `_parse_record`, blank lines skipped.  The
     records are None when a step index is past int64.  Raises `TraceError`
     naming the first bad line."""
-    records = list(filter(str.strip, lines))
-    n = len(records)
-    try:
-        # columns parsed at C level; a failure goes to the line loop,
-        # which names the block's first bad line
-        if set(map(str.count, records, repeat(","))) - {2}:
-            raise ValueError("not three fields")
-        fields = ",".join(records).split(",")
-        step = np.fromiter(map(int, fields[0::3]), np.int64, n)
-        col = np.fromiter(map(col_of.__getitem__, fields[1::3]), np.intp, n)
-        value = np.fromiter(map(float, fields[2::3]), np.float64, n)
-        if n and (step.min() < 0 or not np.isfinite(value).all()):
-            raise ValueError("negative step or non-finite volume")
-    except (ValueError, KeyError, OverflowError):
-        _raise_bad_line(lines, first_lineno, col_of)
-        # only a step index past int64 gets here; no such table is dense
-        return len(lines), None
-    return len(lines), (step, col, value)
-
-
-def _raise_bad_line(lines: list[str], first_lineno: int, col_of: dict[str, int]) -> None:
+    records = []
     for lineno, line in enumerate(lines, start=first_lineno):
         if line.strip():
             try:
-                _parse_record(line, col_of)
+                records.append(_parse_record(line, col_of))
             except (ValueError, KeyError) as exc:
                 raise TraceError(f"line {lineno}: bad record {line!r}") from exc
+    step, col, value = zip(*records) if records else ((), (), ())
+    if max(step, default=0) >= 2**63:
+        return len(lines), None  # a step past int64: no such table is dense
+    return len(lines), (np.array(step, np.int64), np.array(col, np.intp), np.array(value))
 
 
 def trace_read_csv(
@@ -860,11 +796,11 @@ def trace_read_csv(
     integer and a volume a finite float.  The text is read and parsed a
     block of whole lines at a time, so besides the table only one block
     is held.  A block takes one of two routes, chosen from its own text:
-    one of plain records in lowercase ASCII, ``\\n``-ended and at least
-    `_CSV_BYTES_MIN` characters long, is parsed as bytes (`_parse_bytes`);
-    any other, with whitespace, ``\\r``, ``_``, uppercase, non-ASCII
-    digits, blank lines or a bad record, is split into lines
-    (`_parse_lines`).  Both read the same table and give the same errors.
+    one of plain records in lowercase ASCII and ``\\n``-ended is parsed as
+    bytes (`_parse_bytes`); any other, with whitespace, ``\\r``, ``_``,
+    uppercase, non-ASCII digits, blank lines or a bad record, is split
+    into lines and read one line at a time (`_parse_lines`).  Both read
+    the same table and give the same errors.
     """
     col_of = {ident: i for i, ident in enumerate(graph.entry_ids())}
     entries = len(col_of)

@@ -83,6 +83,16 @@ def test_disjoint_pairs_guarantee():
     assert disjoint_pairs_guarantee(3, 0, 9) == 0  # floor at zero
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.5, "2"])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_disjoint_pairs_guarantee_refuses_non_int(slot, bad):
+    # a bool is no count: (True, 1, 1) once returned 1
+    args = [1, 1, 1]
+    args[slot] = bad
+    with pytest.raises(InvalidParameterError):
+        disjoint_pairs_guarantee(*args)
+
+
 @pytest.mark.parametrize("which", VERIFY_KINDS)
 def test_verify_all_kinds_hold_small(which):
     for m in (1, 2, 3, 4, 5, 6):

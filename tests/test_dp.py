@@ -396,26 +396,9 @@ def test_self_convolve_support_equals_bigint(x, out_rows):
     np.testing.assert_array_equal(got, want[:out_rows])
 
 
-def _smooth_lengths(limit):
-    """Every 2**a * 3**b * 5**c up to ``limit``, by brute force."""
-    return [n for n in range(1, limit + 1) if _strip(_strip(_strip(n, 2), 3), 5) == 1]
-
-
-def _strip(n, p):
-    while n % p == 0:
-        n //= p
-    return n
-
-
-def test_fft_length_is_least_5_smooth_cover():
-    smooth = np.array(_smooth_lengths(10_000))
-    for width in range(1, 5001):
-        assert dp._fft_length(width) == smooth[np.searchsorted(smooth, width)], width
-
-
 def _seeded_row(k, seed, inf_share, top):
     """A vector of 2**k + 1 entries in 0..top, an ``inf_share`` of them inf:
-    the length of a leaf-profile row, whose FFT length is no power of two."""
+    the length of a leaf-profile row, whose merge width the FFT pads."""
     rng = np.random.default_rng(seed)
     e = rng.integers(0, top + 1, size=2**k + 1).astype(float)
     e[rng.random(e.size) < inf_share] = np.inf

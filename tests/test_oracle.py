@@ -131,3 +131,10 @@ def test_leaf_constrained_rejects_bad_t():
         enumerate_leaf_constrained(2, -1)
     with pytest.raises(CapacityError):
         enumerate_leaf_constrained(5, 1)
+
+
+@pytest.mark.parametrize("t", [True, False, 1.5, "2"])
+def test_leaf_constrained_refuses_non_int_t(t):
+    # a bool is no count: (2, True) once answered for t = 1
+    with pytest.raises(InvalidParameterError):
+        enumerate_leaf_constrained(2, t)

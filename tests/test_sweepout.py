@@ -936,15 +936,21 @@ def test_csv_reader_matches_whole_text_oracle(data, params):
     newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
     block = data.draw(st.sampled_from([1, 2, 3, 17, 256, sweepout._CSV_CHUNK]))
-    # 0 sends every plain block, however short, through the byte route
-    bytes_min = data.draw(st.sampled_from([0, sweepout._CSV_BYTES_MIN]))
-    _assert_read_matches_oracle(text, trace, block, bytes_min)
+    # False makes the byte route decline, so every block takes the line route
+    byte_route = data.draw(st.booleans())
+    _assert_read_matches_oracle(text, trace, block, byte_route)
 
 
-def _assert_read_matches_oracle(text, trace, block, bytes_min):
+def _decline(text, col_of):
+    """A byte route that takes no block."""
+    return None
+
+
+def _assert_read_matches_oracle(text, trace, block, byte_route):
     expect = _read_outcome(read_csv_whole, text, trace.graph.tree.node_count)
+    parse_bytes = sweepout._parse_bytes if byte_route else _decline
     with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
-            mock.patch.object(sweepout, "_CSV_BYTES_MIN", bytes_min):
+            mock.patch.object(sweepout, "_parse_bytes", parse_bytes):
         got = _read_outcome(trace_read_csv, io.StringIO(text), trace.graph, trace.step_bound)
     if got[0] == "ok":
         got = "ok", got[1].steps
@@ -963,8 +969,8 @@ def test_csv_each_mutation_matches_oracle(kind, block, params):
     lines = _csv_lines(trace)
     for i in (5, len(lines) - 1):
         text = "\n".join(_mutated(lines, kind, i)) + "\n"
-        for bytes_min in (0, sweepout._CSV_BYTES_MIN):
-            _assert_read_matches_oracle(text, trace, block, bytes_min)
+        for byte_route in (True, False):
+            _assert_read_matches_oracle(text, trace, block, byte_route)
 
 
 _VOLUME_HEADS = ["0.", "1.", "1.000000", "1.00000000000000", "1.0000000000000000000000"]
@@ -983,7 +989,7 @@ def test_csv_volume_texts_dedupe_by_every_byte(heads, tails, params):
     for i in range(1, len(lines)):
         volume = heads[i % len(heads)] + tails[i % len(tails)]
         lines[i] = f"{lines[i].rpartition(',')[0]},{volume}"
-    _assert_read_matches_oracle("\n".join(lines) + "\n", trace, sweepout._CSV_CHUNK, 0)
+    _assert_read_matches_oracle("\n".join(lines) + "\n", trace, sweepout._CSV_CHUNK, True)
 
 
 @pytest.mark.parametrize("block", [1 << 14, sweepout._CSV_CHUNK])
@@ -998,6 +1004,21 @@ def test_csv_byte_route_reads_a_fill_alone(block, params):
         back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
     assert back.steps.tobytes() == trace.steps.tobytes()
     assert not refuse.called
+
+
+@pytest.mark.parametrize("block", [1 << 14, sweepout._CSV_CHUNK])
+def test_csv_line_route_reads_a_fill_alone(block, params):
+    # with the byte route declining every block, the line route reads the
+    # same m = 5 round trip
+    trace = generate_trace("dfs-fill", 5, params)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    decline = mock.Mock(side_effect=_decline)
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
+            mock.patch.object(sweepout, "_parse_bytes", decline):
+        back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
+    assert back.steps.tobytes() == trace.steps.tobytes()
+    assert decline.called
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "random-monotone"])
