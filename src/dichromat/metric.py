@@ -260,24 +260,13 @@ def iso_profile_lower_bound(
         return c3 * (k_f - c2) / 5 - length
 
     ftol = BISECTION_WIDTH * max(1.0, c3 * k_f)
-    f0 = f(0.0)
-    if f0 <= 0:
-        return IsoQuery(
-            m=m,
-            params=params,
-            k=k,
-            b_star=b_star,
-            v_m=v_m,
-            L_star=0.0,
-            vacuous=True,
-            residual=f0,
-            bracket_width=0.0,
-        )
-
-    lo, hi = 0.0, c3 * k_f / 5
-    f_lo = f0
+    f_lo = f(0.0)
+    # f(0) <= 0 is vacuous and closes the bracket at [0, 0]; otherwise
+    # f_lo stays >= 0, as lo only moves to a point with f >= 0
+    vacuous = f_lo <= 0
+    lo, hi = 0.0, 0.0 if vacuous else c3 * k_f / 5
     for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_WIDTH and abs(f_lo) <= ftol:
+        if hi - lo <= BISECTION_WIDTH and f_lo <= ftol:
             break
         mid = (lo + hi) / 2
         fm = f(mid)
@@ -295,7 +284,7 @@ def iso_profile_lower_bound(
         b_star=b_star,
         v_m=v_m,
         L_star=lo,
-        vacuous=False,
+        vacuous=vacuous,
         residual=f_lo,
         bracket_width=hi - lo,
     )

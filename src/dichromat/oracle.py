@@ -82,21 +82,17 @@ def enumerate_full(m: int, cap: int = FULL_ENUMERATION_CAP) -> FullProfile:
     min_d_by_t: dict[int, int] = {}
     witness_by_b: dict[int, Coloring] = {}
     witness_by_t: dict[int, Coloring] = {}
-    for value in range(1, n + 1):
-        mask = b == value
-        dm = d[mask]
-        best = int(dm.min())
-        min_d_by_b[value] = best
-        # enumeration order is lexicographic, so the first optimum wins
-        row = int(np.flatnonzero(mask)[np.argmax(dm == best)])
-        witness_by_b[value] = coloring_from_bits(tree, bits[row])
-    for value in range(0, tree.leaf_count + 1):
-        mask = t == value
-        dm = d[mask]
-        best = int(dm.min())
-        min_d_by_t[value] = best
-        row = int(np.flatnonzero(mask)[np.argmax(dm == best)])
-        witness_by_t[value] = coloring_from_bits(tree, bits[row])
+    for counts, values, min_d, witness in (
+        (b, range(1, n + 1), min_d_by_b, witness_by_b),
+        (t, range(tree.leaf_count + 1), min_d_by_t, witness_by_t),
+    ):
+        for value in values:
+            mask = counts == value
+            dm = d[mask]
+            min_d[value] = best = int(dm.min())
+            # enumeration order is lexicographic, so the first optimum wins
+            row = int(np.flatnonzero(mask)[np.argmax(dm == best)])
+            witness[value] = coloring_from_bits(tree, bits[row])
 
     return FullProfile(
         m=m,

@@ -11,8 +11,11 @@ fewer than ``a`` of them had reached it at all.
 
 A trace is read as one walk over blocks (see `SweepoutTrace`): row
 blocks, which list every column of a few rows, and event blocks, which
-list one (column, value) change per step.  The fills change one entry per
-step, so after their empty first row they are event blocks of up to
+list one (column, value) change per step.  A column's events form one
+run, consecutive over the whole trace, so the step before an event its
+column held the value of the event before it, or, at the head of a run,
+its value in the row before the block.  The fills change one entry at a
+time, so after their empty first row they are event blocks of up to
 `_BLOCK_CELLS` steps, built by array arithmetic.  No consumer builds the
 dense steps x entries table: validation, the special slice, the coloring,
 the certificate and the CSV writer each make one pass, branch once per
@@ -101,22 +104,31 @@ class SweepoutTrace:
       2-D table of whole rows;
     - an event block: ``cols`` and ``values`` are 1-D and of one length,
       one step each; step ``start + i`` is the row before it with column
-      ``cols[i]`` set to ``values[i]``.  A column may come back after
-      others, so a column's value at a step is its last event so far.
+      ``cols[i]`` set to ``values[i]``.  A column's events are one run,
+      consecutive over the whole trace.  A run may be split across
+      blocks; the next block's first event of that column follows the
+      row before that block.
 
     The first block is a row block.  ``shape`` is the (steps, entries)
     shape of the table.  ``SweepoutTrace(graph=, steps=, step_bound=)``
-    wraps a dense table as row blocks.  `generate_trace` makes the fill
-    and uniform traces from their rule, block by block, the fills as
-    their empty row and then event blocks; for those, ``steps`` builds
-    the dense table on demand, one row per step, refused past
-    `TRACE_BYTES_CAP`.  No pass in the package reads ``steps``.
+    wraps a dense table as row blocks; it refuses, with `TraceError`, a
+    table that is not 2-D with ``graph.entry_count`` columns.
+    `generate_trace` makes the fill and uniform traces from their rule,
+    block by block, the fills as their empty row and then event blocks;
+    for those, ``steps`` builds the dense table on demand, one row per
+    step, refused past `TRACE_BYTES_CAP`.  No pass in the package reads
+    ``steps``.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
         table = np.asarray(steps, dtype=np.float64)
+        if table.ndim != 2 or table.shape[1] != graph.entry_count:
+            raise TraceError(
+                f"expected a (steps, {graph.entry_count}) table, got shape {table.shape}"
+            )
         table.flags.writeable = False
-        self._init(graph, step_bound, table.shape, partial(_dense_blocks, table))
+        blocks = partial(_row_blocks, len(table), graph.entry_count, table.__getitem__)
+        self._init(graph, step_bound, table.shape, blocks)
         self._steps = table
 
     @classmethod
@@ -196,42 +208,39 @@ def _walk(trace: SweepoutTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, n
 
 def _to_step(row: np.ndarray, cols: np.ndarray, values: np.ndarray, i: int) -> None:
     """Advance ``row`` from the row before a block to the block's row
-    ``i``.  Of an event block, each column takes its last event up to
-    there, found first, so no index is assigned twice and numpy's order
-    for repeated indices does not matter."""
+    ``i``.  Of an event block, the last event of each run up to there
+    sets its column; a column's events are one run, so no index is
+    assigned twice and numpy's order for repeated indices does not
+    matter."""
     if values.ndim == 2:
         row[:] = values[i]
         return
     cols, values = cols[: i + 1], values[: i + 1]
-    # the last event of each run of one column, then of each column
     ends = np.flatnonzero(np.append(cols[1:] != cols[:-1], True))
-    _, latest = np.unique(cols[ends[::-1]], return_index=True)
-    last = ends[ends.size - 1 - latest]
-    row[cols[last]] = values[last]
+    row[cols[ends]] = values[ends]
 
 
 def _previous(cols: np.ndarray, values: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The value each event's column held the step before: its last
-    earlier event, else its value in ``row``, the row before the events."""
+    """The value each event's column held the step before: the event
+    before it, or, at the head of a run, its value in ``row``, the row
+    before the events.  A column's events are one run, so a head's
+    column has no earlier event among these."""
     prev = np.empty_like(values)
     prev[1:] = values[:-1]
-    # the first event of each run of one column looks back past the run
     heads = np.flatnonzero(np.append(True, cols[1:] != cols[:-1]))
     prev[heads] = row[cols[heads]]
-    # runs by column, in order; a run after another of its column takes
-    # that run's last event, the one before the next run's head
-    runs = np.argsort(cols[heads], kind="stable")
-    again = np.flatnonzero(cols[heads[runs[1:]]] == cols[heads[runs[:-1]]])
-    prev[heads[runs[again + 1]]] = values[heads[runs[again] + 1] - 1]
     return prev
 
 
-def _dense_blocks(steps: np.ndarray) -> Iterator[Block]:
-    """A dense table as blocks of every column, `_BLOCK_CELLS` cells each."""
-    cols = np.arange(steps.shape[1])
-    size = max(1, _BLOCK_CELLS // max(1, cols.size))
-    for start in range(0, len(steps), size):
-        yield start, cols, steps[start : start + size]
+def _row_blocks(
+    rows: int, entries: int, take: Callable[[slice], np.ndarray]
+) -> Iterator[Block]:
+    """``rows`` rows of every column as blocks of `_BLOCK_CELLS` cells, at
+    least one row each; ``take(slice)`` gives the rows of a block."""
+    cols = np.arange(entries)
+    size = max(1, _BLOCK_CELLS // entries)
+    for start in range(0, rows, size):
+        yield start, cols, take(slice(start, start + size))
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,8 @@ class ValidationReport:
 
 
 def validate_trace(trace: SweepoutTrace) -> ValidationReport:
-    """Check shape, empty start, full end, capacity range, and step bound.
+    """Check at least two rows, empty start, full end, capacity range,
+    and step bound.
 
     Reports the first violating step; comparisons use a relative
     tolerance so float-built traces do not trip on rounding dust.  A
@@ -253,10 +263,9 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     capacity and its column's previous value, since the other columns
     of that step do not move.
     """
-    entries = trace.graph.entry_count
-    if len(trace.shape) != 2 or trace.shape[1] != entries or trace.shape[0] < 2:
+    if trace.shape[0] < 2:
         return ValidationReport(
-            False, f"expected shape (>=2, {entries}), got {trace.shape}", None
+            False, f"expected shape (>=2, {trace.graph.entry_count}), got {trace.shape}", None
         )
     caps = trace.graph.capacities
     tol = _REL_TOL * max(1.0, float(caps.max()))
@@ -319,7 +328,6 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     for start, cols, values, row in _walk(trace):
         if values.ndim == 2:
             counts = (values[:, leaves] >= alpha).sum(axis=1)
-            counts += count - np.count_nonzero(row[leaves] >= alpha)
         else:
             at = np.flatnonzero((cols >= leaves.start) & (cols < leaves.stop))
             if not at.size:
@@ -482,7 +490,8 @@ def _fill_blocks(
 ) -> Iterator[Block]:
     """The empty row over every column, then each entry of ``order(graph)``
     in turn: at its j-th of the ``k`` steps `_class_parts` gives its class,
-    its column holds ``cap * j / k``.  Event blocks of `_BLOCK_CELLS`
+    its column holds ``cap * j / k``.  ``order`` lists each column once,
+    so a column's events are one run.  Event blocks of `_BLOCK_CELLS`
     steps, each built from the entries it meets.  Under the trace cap a
     fill has fewer than 2**26 steps, so the per-entry arrays, the order
     and each entry's last step, are int32."""
@@ -512,13 +521,6 @@ def _fill_blocks(
         values *= np.repeat(caps[kind], taken)
         values /= np.repeat(k, taken)
         yield start, np.repeat(order_cols[met], taken), values
-
-
-def _uniform_blocks(caps: np.ndarray, fractions: np.ndarray) -> Iterator[Block]:
-    cols = np.arange(caps.size)
-    size = max(1, _BLOCK_CELLS // caps.size)
-    for start in range(0, fractions.size, size):
-        yield start, cols, fractions[start : start + size, None] * caps[None, :]
 
 
 def _class_parts(graph: RegionGraph, delta: float) -> list[int]:
@@ -592,7 +594,8 @@ def generate_trace(
     caps = graph.capacities
 
     if strategy == "uniform":
-        blocks = partial(_uniform_blocks, caps, np.linspace(0.0, 1.0, rows))
+        fractions = np.linspace(0.0, 1.0, rows)
+        blocks = partial(_row_blocks, rows, caps.size, lambda at: fractions[at, None] * caps)
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
     if strategy != "random-monotone":
         order = _postorder_cols if strategy == "dfs-fill" else _bfs_cols

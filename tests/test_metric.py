@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dichromat import (
     region_graph,
     width_lower_bound,
 )
+from dichromat import metric
 from dichromat.metric import parse_param_value
 from conftest import capacities_of, node_volumes_of, random_rational_params
 
@@ -199,6 +201,15 @@ class TestIsoBound:
     def test_vacuous_only_at_degenerate_constant(self):
         q = iso_profile_lower_bound(2, RAT.replace(C3=0))
         assert q.vacuous and q.L_star == 0.0
+
+    def test_negative_start_closes_the_bracket(self):
+        # f(0) < 0 needs a peak k below C2(0) < 1, which no depth has, so
+        # a patched k = 0 shows the vacuous exit: L = 0, residual f(0)
+        with mock.patch.object(metric, "best_black_count", return_value=(1, 0)):
+            q = iso_profile_lower_bound(2, RAT)
+        f0 = -float(RAT.C3) * 0.5 / 19.5 / 5  # C2(0) = |tau - 2 mu| / (V0 + tau - 2 mu)
+        assert (q.vacuous, q.L_star, q.bracket_width) == (True, 0.0, 0.0)
+        assert q.residual == pytest.approx(f0)
 
     def test_zero_iso_constant_closed_form(self):
         p = RAT.replace(iso_C=0)

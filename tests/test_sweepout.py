@@ -158,6 +158,26 @@ def test_non_finite_or_nonpositive_step_bound_rejected(bound, params):
         trace_read_csv(buf, trace.graph, bound)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [lambda n: (5,), lambda n: (3, 4), lambda n: (2, n, 1)],
+    ids=["1-D", "narrow", "3-D"],
+)
+def test_dense_trace_refuses_wrong_shape(shape, params):
+    graph = region_graph(2, params)
+    with pytest.raises(TraceError, match=r"expected a \(steps, 13\) table, got shape"):
+        SweepoutTrace(graph=graph, steps=np.zeros(shape(graph.entry_count)), step_bound=1.0)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_validate_reports_fewer_than_two_rows(rows, params):
+    graph = region_graph(2, params)
+    trace = SweepoutTrace(graph=graph, steps=np.zeros((rows, 13)), step_bound=1.0)
+    report = validate_trace(trace)
+    expect = (False, f"expected shape (>=2, 13), got ({rows}, 13)", None)
+    assert (report.ok, report.message, report.step) == expect == validate_trace_dense(trace)
+
+
 def test_validate_two_step_jump(params):
     # 0 -> full in one step is invalid whenever delta < the largest volume
     graph = region_graph(2, params)
@@ -673,14 +693,31 @@ def _assert_events_match_dense(trace, first, cols, values, block, probe):
     return report
 
 
-_EVENT_FAULTS = ("over", "below", "nan", "jump", "revisit")
+@pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill"])
+@pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+def test_fill_emits_each_column_as_one_run(strategy, wide):
+    # the contract every pass reads event blocks by: after the first row,
+    # each column's events are one run, wherever the blocks cut it
+    params = WIDE if wide else BlockParams.default()
+    for block in (1, 2, 3, 7, sweepout._BLOCK_CELLS):
+        with mock.patch.object(sweepout, "_BLOCK_CELLS", block):
+            for m in range(1, 9):
+                trace = generate_trace(strategy, m, params)
+                _block_cells(trace)
+                _, cols, _ = _events(trace)
+                heads = np.flatnonzero(np.append(True, cols[1:] != cols[:-1]))
+                assert np.array_equal(
+                    np.sort(cols[heads]), np.arange(trace.graph.entry_count)
+                ), (m, block)
+
+
+_EVENT_FAULTS = ("over", "below", "nan", "jump")
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_event_stream_faults_match_dense_oracle(data, params):
-    # faults in a fill's events, some at or next to a block boundary, and
-    # columns revisited after others (in range, by a small step or a jump)
+    # faults in a fill's events, some at or next to a block boundary
     strategy = data.draw(st.sampled_from(["dfs-fill", "bfs-fill"]))
     trace = generate_trace(strategy, data.draw(st.integers(1, 3)), params)
     block = data.draw(st.sampled_from([1, 2, 3, 7, 64, sweepout._BLOCK_CELLS]))
@@ -705,14 +742,6 @@ def test_event_stream_faults_match_dense_oracle(data, params):
             values[i] = np.nan
         elif kind == "jump":
             values[i] = caps[c] if before[c] < caps[c] - 2 * bound else 0.0
-        else:
-            earlier = np.flatnonzero(cols[:i] != cols[i - 1]) if i else cols[:0]
-            if not earlier.size:
-                continue
-            c = int(cols[earlier[data.draw(st.integers(0, earlier.size - 1))]])
-            step = data.draw(st.sampled_from([0.0, 0.5, -0.5, 3.0])) * bound
-            cols = np.insert(cols, i, c)
-            values = np.insert(values, i, before[c] + step)
     probe = data.draw(st.integers(0, cols.size))
     _assert_events_match_dense(trace, first, cols, values, block, probe)
 
@@ -720,21 +749,24 @@ def test_event_stream_faults_match_dense_oracle(data, params):
 @pytest.mark.parametrize("block", [1, 2, 5, None])
 @pytest.mark.parametrize("drop, ok", [(0.0, True), (0.5, True), (3.0, False)])
 def test_revisited_column_jumps_from_its_last_event(params, block, drop, ok):
-    # column 1 fills, other columns fill, then column 1 comes back ``drop``
-    # step bounds below its capacity and is refilled at once; the revisit
-    # starts a block of 1, 2 or 5 events, and its jump is measured from
-    # column 1's own last event, not from the event just before
+    # a column's run cut by a block boundary at a multiple of 10: the block
+    # of 1, 2 or 5 events that starts there revisits the column with two
+    # more events, ``drop`` step bounds below its last value and back, and
+    # the first one's jump is measured from the walked row, that last value
     trace = generate_trace("bfs-fill", 2, params)
     first, cols, values = _events(trace)
-    cap = trace.graph.capacities[1]
-    at = 10 * (int(np.flatnonzero(cols == 1)[-1]) // 10 + 2)
-    assert at < cols.size and cols[at - 1] != 1
-    cols = np.insert(cols, at, [1, 1])
-    values = np.insert(values, at, [cap - drop * trace.step_bound, cap])
+    bound = trace.step_bound
+    at = next(
+        p for p in range(10, cols.size, 10)
+        if cols[p - 1] == cols[p] and values[p - 1] >= 3 * bound
+    )
+    last = values[at - 1]
+    cols = np.insert(cols, at, [cols[at]] * 2)
+    values = np.insert(values, at, [last - drop * bound, last])
     report = _assert_events_match_dense(
         trace, first, cols, values, block or sweepout._BLOCK_CELLS, at + 1
     )
-    jump = (False, f"step exceeds bound {trace.step_bound}", at + 1)
+    jump = (False, f"step exceeds bound {bound}", at + 1)
     assert (report.ok, report.message, report.step) == ((True, "ok", None) if ok else jump)
 
 
