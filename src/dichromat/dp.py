@@ -19,7 +19,11 @@ hold small whole numbers, exact in float64; unreachable values are
 ``numpy.inf``, never a large integer that arithmetic could overflow into
 a real count.
 
-Achievable sets.  The boolean table F[d, b] climbs with one level merge,
+Achievable sets.  In the band m >= 3, ceil(m/2) + 1 <= d <= 2**m, a row
+B_m(d) is the interval [ceil(d/3), N - ceil(d/3)], N the node count;
+`achievable_set` proves it and answers those rows with no table.  Rows
+outside the band, and `feasible_pairs`, read the table.  The boolean
+table F[d, b] climbs with one level merge,
 `_merge_level`: extend the white-root child table with its mirror shifted
 down one d row, then take the support of its 2-D self-convolution, cut at
 ``max_d``: merging only adds dichromatic edges, so rows past it never
@@ -364,11 +368,15 @@ def feasible_pairs(m: int, max_d: int, cap: int | None = None) -> np.ndarray:
     if not is_int(max_d) or max_d < 0:
         raise InvalidParameterError(f"max_d must be an integer >= 0, got {max_d!r}")
     if max_d > pairs_depth_limit(m, cap):
-        raise CapacityError(
-            f"the feasible-pairs table at m={m} cut at d={max_d} exceeds the cap "
-            f"of {PAIRS_CELLS_CAP} cells; use a smaller m or d"
-        )
+        raise CapacityError(_cut_refusal(m, max_d))
     return _feasible_pairs(m, max_d)
+
+
+def _cut_refusal(m: int, max_d: int) -> str:
+    return (
+        f"the feasible-pairs table at m={m} cut at d={max_d} exceeds the cap "
+        f"of {PAIRS_CELLS_CAP} cells; use a smaller m or d"
+    )
 
 
 @lru_cache(maxsize=4)
@@ -398,15 +406,79 @@ class AchievableSet:
 
 
 def achievable_set(m: int, d: int, cap: int | None = None) -> AchievableSet:
-    """Exact B_m(d), restricted to black counts >= 1."""
+    """Exact B_m(d), restricted to black counts >= 1.
+
+    With N = 2**(m+1) - 1 nodes, a row in the band m >= 3,
+    ceil(m/2) + 1 <= d <= 2**m, is the interval [ceil(d/3), N - ceil(d/3)],
+    answered with no table.  A row outside it reads a table cut at the
+    next 2**k - 1, or at ceil(m/2) below the band, so rising queries share
+    a few tables; the cut stops at `pairs_depth_limit`, and a d past it is
+    refused wherever it lies.
+
+    Proof of the band.  A dichromatic edge has one black and one white
+    end, and a node has at most 3 edges, so d <= 3b and d <= 3(N - b): no
+    b lies outside the interval.  Swapping every color keeps d and maps b
+    to N - b; and a white-root coloring has b = d (mod 2), since the
+    degrees of its black nodes, all odd, sum to d plus twice the edges
+    between them.  So it is enough to build, for each v = d (mod 2) in the
+    interval, a white-root coloring with v black nodes and exactly d
+    dichromatic edges; a b of the other parity is the swap of v = N - b.
+    Call the 2**(m-1) nodes at depth m - 1 the bottom nodes.  By v:
+
+    - ceil(d/3) <= v <= d.  Make k = (d - v)/2 bottom nodes black, their
+      leaves white, and j = (3v - d)/2 leaves under the other bottom
+      nodes black; all else white.  That is 3k + j = d edges and k + j = v
+      black nodes, and j + 2k = (v + d)/2 <= 2**m leaves hold them.
+    - N + 1 - d <= v, so u = N - v < d.  The u white nodes are the root,
+      whose children are black, k = (d - u - 1)/2 bottom nodes with black
+      leaves, and j = (3u - d - 1)/2 leaves under other bottom nodes; all
+      else black.  m >= 3 keeps the bottom nodes and their parents off the
+      root and its children.  2 + 3k + j = d, j + 2k < 2**m, and j >= 0:
+      3u = d would give u = d (mod 2).
+    - d <= v <= N + 1 - d.  First, some white-root coloring has v black
+      nodes and c <= ceil(m/2) + 2 <= d + 1 dichromatic edges, so c <= d,
+      as c = v = d (mod 2).  Let f_h(u) be the fewest such edges of a
+      subtree of c_h = 2**h - 1 nodes under a white parent, u of them
+      black, its edge to the parent counted; f_1 = (0, 1) and
+      f_2 = (0, 1, 2, 1).  For h >= 2, with c = c_(h-1):
+      f_h(u) <= f_(h-1)(u) for u <= c, the top white, one child taking u
+      and the other white; and for u = c + w, 1 <= w <= c + 1,
+      f_h(u) <= 1 + f_(h-1)(w) (top white, one child all black) and
+      f_h(u) <= 1 + f_(h-1)(c + 1 - w) (top black, its c + 1 - w white
+      nodes in one child, by the color swap).  As w + (c + 1 - w) =
+      2(c_(h-2) + 1), one of them is at most c_(h-2), where
+      f_(h-1) <= f_(h-2), or both are c_(h-2) + 1, where
+      f_(h-1) <= 1 + f_(h-2)(1) = 2.  So for h >= 3 the maxima obey
+      M_h <= max(M_(h-1), 1 + M_(h-2), 3), and M_h <= ceil(h/2) + 1.  The
+      whole tree puts v <= c_m in one child, or v - c_m there and the
+      other child all black, so c <= M_m + 1.  Second, swapping the colors
+      of a black leaf under a black parent and a white leaf under a white
+      parent adds 2 edges and leaves every other leaf in its pool.  A
+      black part (connected, n nodes, l leaves) has n - 2l + 2 edges out:
+      its n - l inner nodes have 2(n - l) child edges, n - 1 inside, plus
+      the edge above it.  The leaves of a part of n >= 2 have parents in
+      it, and a one-node part has n <= its edges out, so there are at
+      least (v - c)/2 black leaves under black parents.  The root's white
+      part has no edge above it, so at least (N - v - c + 1)/2 white
+      leaves are under white parents.  As d <= v and d <= N + 1 - v,
+      (d - c)/2 swaps reach d.
+
+    The tests build the coloring of every band cell this way at m <= 6,
+    and of a seeded sample up to m = 12, and count it.
+    """
     limit = pairs_depth_limit(m, cap)
-    max_d = 2 ** (m + 1) - 2
-    if not is_int(d) or not 0 <= d <= max_d:
-        raise InvalidParameterError(f"d must lie in 0..{max_d}, got {d!r}")
-    # built to depth 2**k - 1 where the cap allows, so queries at rising d
-    # share a few tables; a d past the cap is refused by feasible_pairs
-    depth = max(d, min((1 << d.bit_length()) - 1, max_d, limit))
-    members = np.flatnonzero(feasible_pairs(m, depth, cap)[d, 1:]) + 1
+    n = 2 ** (m + 1) - 1
+    if not is_int(d) or not 0 <= d < n:
+        raise InvalidParameterError(f"d must lie in 0..{n - 1}, got {d!r}")
+    if d > limit:
+        raise CapacityError(_cut_refusal(m, d))
+    low = (m + 1) // 2 + 1  # ceil(m/2) + 1
+    if m >= 3 and low <= d <= 2**m:
+        first = -(-d // 3)
+        return AchievableSet(m=m, d=d, members=tuple(range(first, n - first + 1)))
+    top = low - 1 if d < low else n - 1
+    depth = max(d, min((1 << d.bit_length()) - 1, top, limit))
+    members = np.flatnonzero(_feasible_pairs(m, depth)[d, 1:]) + 1
     return AchievableSet(m=m, d=d, members=tuple(members.tolist()))
 
 

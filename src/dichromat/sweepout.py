@@ -111,8 +111,11 @@ class SweepoutTrace:
 
     The first block is a row block.  ``shape`` is the (steps, entries)
     shape of the table.  ``SweepoutTrace(graph=, steps=, step_bound=)``
-    wraps a dense table as row blocks; it refuses, with `TraceError`, a
-    table that is not 2-D with ``graph.entry_count`` columns.
+    wraps a read-only copy of a dense table as row blocks, so the
+    caller's array stays its own; it refuses, with `TraceError`, a table
+    that is not 2-D with ``graph.entry_count`` columns.  Random-monotone
+    and `trace_read_csv` hand over a table they made through `_owning`,
+    which takes it without a copy.
     `generate_trace` makes the fill and uniform traces from their rule,
     block by block, the fills as their empty row and then event blocks;
     for those, ``steps`` builds the dense table on demand, one row per
@@ -121,7 +124,16 @@ class SweepoutTrace:
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
-        table = np.asarray(steps, dtype=np.float64)
+        self._wrap(graph, np.array(steps, dtype=np.float64), step_bound)
+
+    @classmethod
+    def _owning(cls, graph: RegionGraph, table: np.ndarray, step_bound: float) -> SweepoutTrace:
+        """Wrap a float64 table that no one else writes, without a copy."""
+        trace = cls.__new__(cls)
+        trace._wrap(graph, table, step_bound)
+        return trace
+
+    def _wrap(self, graph: RegionGraph, table: np.ndarray, step_bound: float) -> None:
         if table.ndim != 2 or table.shape[1] != graph.entry_count:
             raise TraceError(
                 f"expected a (steps, {graph.entry_count}) table, got shape {table.shape}"
@@ -611,7 +623,7 @@ def generate_trace(
         inc = rng.uniform(0.25, 1.0, caps.size) * delta
         np.minimum(steps[last] + inc, caps, out=steps[last + 1])
         last += 1
-    return SweepoutTrace(graph=graph, steps=steps[: last + 1], step_bound=delta)
+    return SweepoutTrace._owning(graph, steps[: last + 1], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -854,4 +866,4 @@ def trace_read_csv(
         )
     steps = np.empty((rows, entries))
     steps.reshape(-1)[flat] = np.concatenate([np.empty(0), *values])
-    return SweepoutTrace(graph=graph, steps=steps, step_bound=step_bound)
+    return SweepoutTrace._owning(graph, steps, step_bound)

@@ -216,6 +216,83 @@ def node_profile_signed(m: int) -> np.ndarray:
     return np.minimum(root, root[::-1])[1:]
 
 
+def _paint(bits: np.ndarray, node: int, levels: int, color: int) -> None:
+    """Color the subtree of ``node`` (1-based heap order), ``levels`` deep."""
+    for k in range(levels):
+        first = node << k
+        bits[first : first + (1 << k)] = color
+
+
+def _plant(bits: np.ndarray, node: int, h: int, u: int, bg: int) -> None:
+    """Color the subtree of ``node``, 2**h - 1 nodes under a parent of
+    color ``bg``, with u nodes of the other color and at most
+    ceil(h/2) + 1 edges of two colors, the one above it counted: the
+    f_h step of the `dichromat.dp.achievable_set` docstring."""
+    if u == 0:
+        _paint(bits, node, h, bg)
+        return
+    c = 2 ** (h - 1) - 1  # a child's size
+    left, right = 2 * node, 2 * node + 1
+    if u <= c:  # the top keeps bg, one child takes u
+        bits[node] = bg
+        _plant(bits, left, h - 1, u, bg)
+        _paint(bits, right, h - 1, bg)
+        return
+    w = u - c
+    if w <= (c + 1) // 2:  # top bg, one child all the other color
+        bits[node] = bg
+        _paint(bits, left, h - 1, 1 - bg)
+        _plant(bits, right, h - 1, w, bg)
+    else:  # top the other color, its c + 1 - w bg nodes in one child
+        bits[node] = 1 - bg
+        if h > 1:
+            _plant(bits, left, h - 1, c + 1 - w, 1 - bg)
+            _paint(bits, right, h - 1, 1 - bg)
+
+
+def band_coloring(m: int, d: int, b: int) -> np.ndarray:
+    """Bits of a coloring of T_m with b black nodes and exactly d
+    dichromatic edges, for a cell (d, b) of the band
+    m >= 3, ceil(m/2) + 1 <= d <= 2**m, ceil(d/3) <= b <= N - ceil(d/3),
+    built case by case as the proof in the `dichromat.dp.achievable_set`
+    docstring says."""
+    n = 2 ** (m + 1) - 1
+    if (b - d) % 2:
+        return 1 - band_coloring(m, d, n - b)  # a black root: the color swap
+    bits = np.zeros(n + 1, dtype=np.uint8)  # bits[i] is node i; bits[0] unused
+    # k bottom nodes (depth m - 1) from the left, then j leaves from the
+    # first one under the other bottom nodes, 2**m + 2k
+    bottom, leaves = 2 ** (m - 1), 2**m
+    if b <= d:
+        k, j = (d - b) // 2, (3 * b - d) // 2
+        bits[bottom : bottom + k] = 1
+        bits[leaves + 2 * k : leaves + 2 * k + j] = 1
+    elif b >= n + 1 - d:
+        u = n - b
+        k, j = (d - u - 1) // 2, (3 * u - d - 1) // 2
+        bits[2:] = 1
+        bits[bottom : bottom + k] = 0
+        bits[leaves + 2 * k : leaves + 2 * k + j] = 0
+    else:
+        c = 2**m - 1  # a child's size
+        if b <= c:
+            _plant(bits, 2, m, b, 0)
+            _paint(bits, 3, m, 0)
+        else:
+            _paint(bits, 2, m, 1)
+            _plant(bits, 3, m, b - c, 0)
+        leaves = np.arange(2**m, n + 1)
+        cut = int(np.count_nonzero(bits[2:] != bits[np.arange(2, n + 1) // 2]))
+        assert cut <= (m + 1) // 2 + 2, (m, b, cut)
+        same = bits[leaves] == bits[leaves // 2]
+        swaps = (d - cut) // 2
+        black = leaves[same & (bits[leaves] == 1)][:swaps]
+        white = leaves[same & (bits[leaves] == 0)][:swaps]
+        assert black.size == white.size == swaps, (m, d, b)
+        bits[black], bits[white] = 0, 1
+    return bits[1:]
+
+
 def render_dot_lines(coloring: Coloring) -> str:
     """Graphviz DOT of a coloring built one formatted line at a time:
     every node, then every heap edge parent -- child; black nodes filled,

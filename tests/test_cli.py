@@ -324,6 +324,38 @@ GOLDEN = [
      "db7cc9c8cefe3cad93b8b163c5cfe63dd07250c14029fcff662d0ed7a696ed5a"),
     (("export-dot", "-m", "14", "--witness", "t=5461"), 0,
      "a8cb347ac91368e880135d6094f83ab4e1ed15aa406612593a148bd42c07646e"),
+    # per m = 5, 6, 7: the row below the achievable-set band, its two
+    # edges ceil(m/2) + 1 and 2**m, the row above it, and the top row
+    (("bset", "-m", "5", "-d", "3"), 0,
+     "57e5afb607286aad908e441a167731e91bf9a666599daad277c74535f90ce36c"),
+    (("bset", "-m", "5", "-d", "4"), 0,
+     "48ba7b1b4c65f07c886c4bf996dfd1ae3df402c8a77b149fc3ea106179ee826b"),
+    (("bset", "-m", "5", "-d", "32"), 0,
+     "c825d43dd754c41f82c7cb96708177dffac54f395d1f7a3f5f21064c40344e0d"),
+    (("bset", "-m", "5", "-d", "33"), 0,
+     "ec0dc00858a3e9a53e59809c9137baad8ec0ceb80c0e56cde1a01210baf5cca7"),
+    (("bset", "-m", "5", "-d", "62"), 0,
+     "b52dc2d8e026ae3db75b6abc14937230ef6007d7f55e52e766ebdf724bdafe60"),
+    (("bset", "-m", "6", "-d", "3"), 0,
+     "3a2ae6e719c474c75ed655dc918925d930cbe4e765cce124c26da8a401fe35a0"),
+    (("bset", "-m", "6", "-d", "4"), 0,
+     "15ad2b90b30e9b47baa126a97dcffc5917b56db4d6b803a8f14a1bae8de3b914"),
+    (("bset", "-m", "6", "-d", "64"), 0,
+     "408b22ad9f295582872c7737d47d10a864d50cbc561bd28bc81cded31d4a3d39"),
+    (("bset", "-m", "6", "-d", "65"), 0,
+     "fb26e9a2b6b6d53ef17de765d8252f0d8a6ee6a6c76d1bc5a8604818c34b2d49"),
+    (("bset", "-m", "6", "-d", "126"), 0,
+     "e4a7a88e0607d60571c791a7b8c0ec26d838b529de65971910cd61385b0049fd"),
+    (("bset", "-m", "7", "-d", "4"), 0,
+     "1dd79ad874f110777f62d78be69ca4b46c154a8bdabc4ad2ebacff37514ec6b0"),
+    (("bset", "-m", "7", "-d", "5"), 0,
+     "cef4404598d86908cb327a4d392ea018af266ff8d07424a38bf43416ccbeb8bd"),
+    (("bset", "-m", "7", "-d", "128"), 0,
+     "76f55692b8b89c868fe86576a111c43c175f7334221eb25b2cd5b6135b65ae7c"),
+    (("bset", "-m", "7", "-d", "129"), 0,
+     "9c7fa9528760fad731b84f864fab8c802101ad0b96d5c239507d41e2f2c8098e"),
+    (("bset", "-m", "7", "-d", "254"), 0,
+     "34ab102b356a40a74c1057c740208d0cbced22f06c27b7cc0a0f629e06d3c19b"),
     (("bset", "-m", "23", "-d", "0"), 2, hashlib.sha256(b"").hexdigest()),
     (("sweepout", "-m", "3", "--strategy", "uniform", "--delta", "0"), 1,
      hashlib.sha256(b"").hexdigest()),
@@ -566,6 +598,26 @@ def test_oversized_m_refused_before_work(argv):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "capacity exceeded" in proc.stderr and "Traceback" not in proc.stderr
     assert float(proc.stderr.splitlines()[-1]) < 2.0
+
+
+def test_band_bset_reads_no_table():
+    # bset -m 12 -d 1535 is a row of the achievable-set band: a fresh
+    # process answers it in well under a second (about 15 s when it read
+    # the FFT table) and never imports numpy.fft
+    script = (
+        "import sys, time\n"
+        "from dichromat import cli\n"
+        "start = time.perf_counter()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(f'{time.perf_counter() - start:.3f}', 'numpy.fft' in sys.modules,\n"
+        "      file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _python("-c", script, "bset", "-m", "12", "-d", "1535", timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seconds, fft = proc.stderr.split()
+    assert fft == "False" and float(seconds) < 1.0
+    assert json.loads(proc.stdout)["members"] == list(range(512, 7680))
 
 
 def test_lemma22_m20_runs_in_one_gib():

@@ -27,6 +27,7 @@ from dichromat import (
 )
 from dichromat import dp
 from conftest import (
+    band_coloring,
     brute_max_matching,
     convolve2d_bigint,
     feasible_pairs_bigint,
@@ -365,11 +366,79 @@ def test_achievable_profile_consistency():
 
 
 def test_achievable_sets_share_tables():
-    # every d at m = 7 is served by log2(d)-rounded depths, not one table per d
+    # at m = 7 the rows below the band (d <= 4) take tables cut at 0, 1, 3
+    # and 4, the band rows 5..128 build none, and the rows above it share
+    # the one cut at the top row
     dp._feasible_pairs.cache_clear()
-    for d in range(2 ** 8 - 1):
+    for d in range(5):
         achievable_set(7, d)
-    assert dp._feasible_pairs.cache_info().misses == 9
+    assert dp._feasible_pairs.cache_info()[:2] == (1, 4)  # (hits, misses)
+    for d in range(5, 129):
+        achievable_set(7, d)
+    assert dp._feasible_pairs.cache_info()[:2] == (1, 4)
+    for d in range(129, 2**8 - 1):
+        achievable_set(7, d)
+    assert dp._feasible_pairs.cache_info().misses == 5
+
+
+def _band(m):
+    return range((m + 1) // 2 + 1, 2**m + 1) if m >= 3 else range(0)
+
+
+def test_band_coloring_builds_every_cell():
+    # the achievable_set docstring's construction, for every band cell at
+    # m <= 6 and a seeded sample of cells at 7 <= m <= 12, each counted
+    # (about 1 s; budget 60 s)
+    start = time.perf_counter()
+    rng = np.random.default_rng(21)
+    for m in range(3, 13):
+        n = 2 ** (m + 1) - 1
+        tree = build_tree(m)
+        if m <= 6:
+            cells = [(d, b) for d in _band(m) for b in range(-(-d // 3), n - -(-d // 3) + 1)]
+        else:
+            ds = rng.integers(_band(m).start, _band(m).stop, size=200)
+            cells = [(int(d), int(rng.integers(-(-d // 3), n - -(-d // 3) + 1))) for d in ds]
+            # the band's corners: both edges of d at both ends of b
+            for d in (_band(m).start, _band(m).stop - 1):
+                first = -(-d // 3)
+                cells += [(d, first), (d, first + 1), (d, n - first - 1), (d, n - first)]
+        for d, b in cells:
+            coloring = coloring_from_bits(tree, band_coloring(m, d, b))
+            assert count_dichromatic(coloring)[0] == d, (m, d, b)
+            assert black_counts(coloring)[0] == b, (m, d, b)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"band colorings took {elapsed:.1f} s"
+
+
+def test_band_rows_equal_table():
+    # every row at m <= 10 against the FFT table over all rows: the band
+    # rows are the closed form, the others read the table themselves
+    # (about 5 s; budget 60 s)
+    start = time.perf_counter()
+    for m in range(1, 11):
+        n = 2 ** (m + 1) - 1
+        table = dp._feasible_pairs.__wrapped__(m, n - 1)
+        for d in range(n):
+            want = tuple((np.flatnonzero(table[d, 1:]) + 1).tolist())
+            assert achievable_set(m, d, cap=10).members == want, (m, d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"achievable rows m <= 10 took {elapsed:.1f} s"
+
+
+def test_band_rows_skip_the_table(monkeypatch):
+    # a band row builds no table and never reaches the FFT
+    def refuse(*args):
+        raise AssertionError("a band row built a table")
+
+    monkeypatch.setattr(dp, "_feasible_pairs", refuse)
+    assert len(achievable_set(12, 1535)) == 8191 - 2 * 512 + 1
+    assert achievable_set(16, 50).members == tuple(range(17, 2**17 - 17))
+    assert achievable_set(3, 3).members == tuple(range(1, 15))
+    # the band's edges: below it and above it the table is read
+    for m, d in ((3, 2), (3, 9), (6, 3), (6, 65), (7, 4), (7, 129)):
+        with pytest.raises(AssertionError, match="table"):
+            achievable_set(m, d)
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -459,11 +528,16 @@ def test_feasible_pairs_equal_bigint_oracle(m):
 
 def test_feasible_pairs_cut_equals_bigint_oracle():
     # every level of the big-integer merge cut at d <= 8, against the FFT
-    # merge at every m <= 12 (about 6 s, 3.7 s of it at m = 12)
+    # merge at every m <= 12, and against each achievable_set row d <= 8,
+    # the band rows' closed form among them (about 6 s, 3.7 s of it at
+    # m = 12)
     start = time.perf_counter()
     for m in range(1, 13):
         want = feasible_pairs_bigint(m, max_d=8).T  # the oracle is indexed [b, d]
         np.testing.assert_array_equal(dp._feasible_pairs(m, 8), want, err_msg=f"m={m}")
+        for d in range(min(9, 2 ** (m + 1) - 1)):
+            got = achievable_set(m, d, cap=12).members
+            assert got == tuple((np.flatnonzero(want[d, 1:]) + 1).tolist()), (m, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"cut feasible pairs m <= 12 took {elapsed:.1f} s"
 

@@ -169,6 +169,21 @@ def test_dense_trace_refuses_wrong_shape(shape, params):
         SweepoutTrace(graph=graph, steps=np.zeros(shape(graph.entry_count)), step_bound=1.0)
 
 
+def test_dense_trace_copies_the_callers_table(params):
+    # the constructor keeps a read-only copy: the caller's array stays
+    # writeable, and writing to it changes no row of the trace
+    graph = region_graph(2, params)
+    steps = np.zeros((3, graph.entry_count))
+    trace = SweepoutTrace(graph=graph, steps=steps, step_bound=1.0)
+    assert steps.flags.writeable
+    before = [trace.row(t).copy() for t in range(3)]
+    steps[:] = 1.0
+    for t in range(3):
+        np.testing.assert_array_equal(trace.row(t), before[t])
+    np.testing.assert_array_equal(trace.steps, np.zeros((3, graph.entry_count)))
+    assert not trace.steps.flags.writeable
+
+
 @pytest.mark.parametrize("rows", [0, 1])
 def test_validate_reports_fewer_than_two_rows(rows, params):
     graph = region_graph(2, params)
