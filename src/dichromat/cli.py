@@ -10,6 +10,10 @@ Subcommands::
     sweepout    generate a trace and certify its special slice
     export-dot  optimal witness coloring as Graphviz DOT
 
+A call builds only the parser of the command its first argument names;
+without one (no arguments, ``-h``, an unknown name) it builds them all,
+so that the help and the invalid-choice message list every command.
+
 Exit codes: 0 success, 1 invalid input, 2 capacity exceeded (a size cap,
 or out of memory), 3 a verification came back negative.
 
@@ -171,50 +175,6 @@ def render_dot(coloring: Coloring) -> str:
     return "".join(parts)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="dichromat", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("profile", help="node or leaf profile")
-    p.add_argument("--kind", choices=("node", "leaf"), required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("bset", help="achievable black counts at one dichromatic count")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-
-    p = sub.add_parser("verify", help="replay one claimed bound")
-    p.add_argument("--which", choices=bounds_mod.VERIFY_KINDS, required=True)
-    p.add_argument("-m", type=int, required=True)
-
-    p = sub.add_parser("width-bound", help="sweepout width lower bounds")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--params", metavar="FILE")
-
-    p = sub.add_parser("iso-bound", help="isoperimetric profile lower bound")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--params", metavar="FILE")
-
-    p = sub.add_parser("sweepout", help="generate a trace and certify it")
-    p.add_argument("--strategy", choices=sweepout.STRATEGIES, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--params", metavar="FILE")
-    p.add_argument(
-        "--seed",
-        type=int,
-        help="random-monotone seed, >= 0; 0 when omitted (the JSON echoes null); "
-        "other strategies ignore it",
-    )
-    p.add_argument("--delta", type=float)
-
-    p = sub.add_parser("export-dot", help="witness coloring as Graphviz DOT")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--witness", required=True, metavar="b=K|t=K")
-
-    return parser
-
-
 def _load_params(path: str | None) -> metric.BlockParams:
     if path is None:
         return metric.BlockParams.default()
@@ -357,23 +317,60 @@ def _cmd_export_dot(args: argparse.Namespace, cap: int | None) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "profile": _cmd_profile,
-    "bset": _cmd_bset,
-    "verify": _cmd_verify,
-    "width-bound": _cmd_width,
-    "iso-bound": _cmd_iso,
-    "sweepout": _cmd_sweepout,
-    "export-dot": _cmd_export_dot,
+_M = ("-m", {"type": int, "required": True})
+_PARAMS = ("--params", {"metavar": "FILE"})
+
+# name -> (help, handler, arguments as (flag, add_argument keywords)), in
+# the order the top-level help lists them
+_COMMANDS = {
+    "profile": ("node or leaf profile", _cmd_profile, (
+        ("--kind", {"choices": ("node", "leaf"), "required": True}), _M,
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    )),
+    "bset": ("achievable black counts at one dichromatic count", _cmd_bset, (
+        _M, ("-d", {"type": int, "required": True}),
+    )),
+    "verify": ("replay one claimed bound", _cmd_verify, (
+        ("--which", {"choices": bounds_mod.VERIFY_KINDS, "required": True}), _M,
+    )),
+    "width-bound": ("sweepout width lower bounds", _cmd_width, (_M, _PARAMS)),
+    "iso-bound": ("isoperimetric profile lower bound", _cmd_iso, (_M, _PARAMS)),
+    "sweepout": ("generate a trace and certify it", _cmd_sweepout, (
+        ("--strategy", {"choices": sweepout.STRATEGIES, "required": True}), _M, _PARAMS,
+        ("--seed", {
+            "type": int,
+            "help": "random-monotone seed, >= 0; 0 when omitted (the JSON echoes null); "
+            "other strategies ignore it",
+        }),
+        ("--delta", {"type": float}),
+    )),
+    "export-dot": ("witness coloring as Graphviz DOT", _cmd_export_dot, (
+        _M, ("--witness", {"required": True, "metavar": "b=K|t=K"}),
+    )),
 }
 
 
+def _build_parser(names: Sequence[str]) -> _Parser:
+    """The parser with a subparser for each of ``names``, in that order."""
+    parser = _Parser(prog="dichromat", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, _, arguments = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level has no option but -h, so a command name in argv[0]
+    # always selects its subparser; without one, help and errors list all
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(named).parse_args(argv)
         cap = _env_cap()
-        return _DISPATCH[args.command](args, cap)
+        return _COMMANDS[args.command][1](args, cap)
     except _UsageError as exc:
         print(f"dichromat: invalid usage: {exc}", file=sys.stderr)
         return EXIT_INVALID

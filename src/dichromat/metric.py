@@ -48,6 +48,16 @@ def _is_rational(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _check_float(value: Number, what: str) -> None:
+    """Refuse a quantity the float paths would read as infinite."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an exact value past the float range
+        finite = False
+    if not finite:
+        raise InvalidParameterError(f"{what} overflows float64; use smaller volumes")
+
+
 def _exact_div(num: Number, den: int) -> Number:
     if _is_rational(num):
         return Fraction(num, den)
@@ -173,8 +183,13 @@ class RegionGraph:
 
 
 def region_graph(m: int, params: BlockParams) -> RegionGraph:
-    """Region volumes by degree: V0 minus mu per incident edge."""
-    return RegionGraph(tree=build_tree(m), params=params)
+    """Region volumes by degree: V0 minus mu per incident edge.
+
+    Raises `InvalidParameterError` when the total volume overflows
+    float64, so that every capacity and every sum of them is finite."""
+    graph = RegionGraph(tree=build_tree(m), params=params)
+    _check_float(graph.total_volume, f"total volume at m = {m}")
+    return graph
 
 
 def balanced_decomposition(m: int, params: BlockParams) -> tuple[Number, ...]:
@@ -243,11 +258,13 @@ def iso_profile_lower_bound(
     bracket [0, C3*k/5] pins the root; iteration stops once the bracket
     is narrower than 1e-9 and the kept endpoint's residual is below
     1e-9 * max(1, C3*k).  The solve itself runs in float even for
-    rational inputs.
+    rational inputs; a v_m that overflows float64 raises
+    `InvalidParameterError`.
     """
     b_star, k = best_black_count(m, cap=cap)
     denom = params.V0 + params.tau - 2 * params.mu
     v_m = b_star * denom
+    _check_float(v_m, "v_m")  # and denom <= v_m, as b_star >= 1
 
     c3 = float(params.C3)
     iso_c = float(params.iso_C)
@@ -309,11 +326,17 @@ def parse_param_value(text: str) -> Number:
 
 
 def load_params(path: str | Path) -> BlockParams:
-    """Read ``key = value`` lines; keys are exactly the seven parameter
-    names, '#' starts a comment, omitted keys fall back to the defaults."""
+    """Read ``key = value`` lines of UTF-8 text; keys are exactly the
+    seven parameter names, '#' starts a comment, omitted keys fall back
+    to the defaults."""
     defaults = BlockParams.default()
     values: dict[str, Number] = {k: getattr(defaults, k) for k in PARAM_KEYS}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -578,8 +578,10 @@ def generate_trace(
     reproducible, and no seed means seed 0.  Raises `CapacityError` before any per-entry array exists
     when the cells one pass over the trace reads, `_trace_cells` of
     `_trace_rows` rows counted from the four volume classes, would exceed
-    `TRACE_BYTES_CAP`.  The fills and uniform are made block by block as
-    they are read; random-monotone is a dense table.
+    `TRACE_BYTES_CAP`, or when a volume / delta overflows float64.  A
+    fill whose k * volume overflows float64 raises `InvalidParameterError`,
+    also before any per-entry array.  The fills and uniform are made
+    block by block as they are read; random-monotone is a dense table.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -595,7 +597,10 @@ def generate_trace(
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise InvalidParameterError(f"delta must be finite and positive, got {delta}")
-    rows = _trace_rows(strategy, graph, delta)
+    try:
+        rows = _trace_rows(strategy, graph, delta)
+    except (OverflowError, ZeroDivisionError):  # volume / delta is inf, or delta / 4 is 0
+        rows = math.inf
     cells = _trace_cells(strategy, graph, rows)
     if cells * 8 > TRACE_BYTES_CAP:
         raise CapacityError(
@@ -603,6 +608,15 @@ def generate_trace(
             f"{cells} cells a pass ({cells * 8 / 2**20:.0f} MiB), above the "
             f"{TRACE_BYTES_CAP // 2**20} MiB trace cap; use a smaller m or a larger delta"
         )
+    if strategy in ("dfs-fill", "bfs-fill"):
+        parts = _class_parts(graph, delta)
+        # a fill forms j * volume before dividing by k, up to k * volume
+        for k, (volume, _) in zip(parts, graph.volume_classes):
+            if not math.isfinite(k * float(volume)):
+                raise InvalidParameterError(
+                    f"{strategy} forms {k} * {float(volume)!r}, which overflows float64; "
+                    "use smaller volumes or a larger delta"
+                )
     caps = graph.capacities
 
     if strategy == "uniform":
@@ -611,7 +625,7 @@ def generate_trace(
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
     if strategy != "random-monotone":
         order = _postorder_cols if strategy == "dfs-fill" else _bfs_cols
-        blocks = partial(_fill_blocks, graph, order, _class_parts(graph, delta))
+        blocks = partial(_fill_blocks, graph, order, parts)
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
     # rows past the last one written are never touched, so never resident

@@ -1,5 +1,6 @@
 """End-to-end CLI: frozen outputs, exit codes, schema conformance."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
@@ -163,6 +165,88 @@ def test_missing_params_file_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("width-bound",), ("iso-bound",), ("sweepout", "--strategy", "uniform")],
+    ids=["width-bound", "iso-bound", "sweepout"],
+)
+def test_params_file_not_utf8_exits_1(capsys, tmp_path, argv):
+    cfg = tmp_path / "bad.params"
+    cfg.write_bytes(b"\xff\xfe alpha = 1\n")
+    code, out, err = run(capsys, *argv, "-m", "3", "--params", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"dichromat: invalid input: {cfg}: not UTF-8 text (invalid start byte at byte 0)\n"
+    )
+
+
+def _run_quietly(capsys, *argv):
+    """`run`, failing on any warning the query raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+# every value inside the README constraints, but the total volume, and
+# v_m, past the float64 range: finite floats, or an exact V0
+OVERFLOW_PARAMS = {
+    "float": ("V0 = 1e308\nmu = 1e306\ntau = 1.5e306\nalpha = 1e307\n", 1e308),
+    "exact": (f"V0 = {10**400}\nmu = 1\ntau = 2\nalpha = 1\n", 10**400),
+}
+
+
+@pytest.mark.parametrize("params", list(OVERFLOW_PARAMS))
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *[(("sweepout", "--strategy", s), "total volume at m = 3 overflows float64")
+          for s in sweepout.STRATEGIES],
+        (("iso-bound",), "v_m overflows float64"),
+        (("width-bound",), None),
+    ],
+    ids=[*sweepout.STRATEGIES, "iso-bound", "width-bound"],
+)
+def test_overflowing_volumes_refused(capsys, tmp_path, argv, message, params):
+    text, v0 = OVERFLOW_PARAMS[params]
+    cfg = tmp_path / "huge.params"
+    cfg.write_text(text)
+    code, out, err = _run_quietly(capsys, *argv, "-m", "3", "--params", str(cfg))
+    if message is None:  # the width bounds read no volume
+        assert code == 0, err
+        assert json.loads(out)["params"]["V0"] == v0
+    else:
+        assert (code, out) == (1, "")
+        assert err == f"dichromat: invalid input: {message}; use smaller volumes\n"
+
+
+@pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill"])
+def test_fill_step_overflow_refused(capsys, tmp_path, strategy):
+    # the total (about 1.5e308) is finite, but a leaf's 20th fill step
+    # forms 20 * 4.8e307 before dividing by 20
+    cfg = tmp_path / "big.params"
+    cfg.write_text("V0 = 5e307\nmu = 1e306\ntau = 1.5e306\nalpha = 1e307\n")
+    code, out, err = _run_quietly(
+        capsys, "sweepout", "--strategy", strategy, "-m", "1", "--params", str(cfg)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"dichromat: invalid input: {strategy} forms 20 * 4.8e+307, which overflows "
+        "float64; use smaller volumes or a larger delta\n"
+    )
+
+
+@pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+@pytest.mark.parametrize("strategy", sweepout.STRATEGIES)
+def test_delta_far_below_the_volumes_exits_2(capsys, strategy, delta):
+    # volume / delta is infinite (and 5e-324 / 4 is 0), so is the row count
+    code, out, err = _run_quietly(capsys, "sweepout", "--strategy", strategy, "-m", "3",
+                                  "--delta", delta)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dichromat: capacity exceeded: {strategy} trace at m=3 needs up to inf")
+
+
 def test_export_dot_frozen(capsys):
     code, out, _ = run(capsys, "export-dot", "-m", "2", "--witness", "t=1")
     assert code == 0
@@ -233,6 +317,172 @@ def test_usage_error_exit_1(capsys):
 def test_unknown_command_exit_1(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+COMMANDS = ["profile", "bset", "verify", "width-bound", "iso-bound", "sweepout", "export-dot"]
+
+# the --help text of the top level ("") and of each command, at 80 columns
+HELP = {
+    "": """\
+usage: dichromat [-h]
+                 {profile,bset,verify,width-bound,iso-bound,sweepout,export-dot}
+                 ...
+
+Command-line front end.
+
+positional arguments:
+  {profile,bset,verify,width-bound,iso-bound,sweepout,export-dot}
+    profile             node or leaf profile
+    bset                achievable black counts at one dichromatic count
+    verify              replay one claimed bound
+    width-bound         sweepout width lower bounds
+    iso-bound           isoperimetric profile lower bound
+    sweepout            generate a trace and certify it
+    export-dot          witness coloring as Graphviz DOT
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "profile": """\
+usage: dichromat profile [-h] --kind {node,leaf} -m M [--format {csv,json}]
+
+options:
+  -h, --help           show this help message and exit
+  --kind {node,leaf}
+  -m M
+  --format {csv,json}
+""",
+    "bset": """\
+usage: dichromat bset [-h] -m M -d D
+
+options:
+  -h, --help  show this help message and exit
+  -m M
+  -d D
+""",
+    "verify": """\
+usage: dichromat verify [-h] --which
+                        {lemma22,thm27,lipschitz_node,lipschitz_leaf,cor25} -m
+                        M
+
+options:
+  -h, --help            show this help message and exit
+  --which {lemma22,thm27,lipschitz_node,lipschitz_leaf,cor25}
+  -m M
+""",
+    "width-bound": """\
+usage: dichromat width-bound [-h] -m M [--params FILE]
+
+options:
+  -h, --help     show this help message and exit
+  -m M
+  --params FILE
+""",
+    "iso-bound": """\
+usage: dichromat iso-bound [-h] -m M [--params FILE]
+
+options:
+  -h, --help     show this help message and exit
+  -m M
+  --params FILE
+""",
+    "sweepout": """\
+usage: dichromat sweepout [-h] --strategy
+                          {dfs-fill,bfs-fill,uniform,random-monotone} -m M
+                          [--params FILE] [--seed SEED] [--delta DELTA]
+
+options:
+  -h, --help            show this help message and exit
+  --strategy {dfs-fill,bfs-fill,uniform,random-monotone}
+  -m M
+  --params FILE
+  --seed SEED           random-monotone seed, >= 0; 0 when omitted (the JSON
+                        echoes null); other strategies ignore it
+  --delta DELTA
+""",
+    "export-dot": """\
+usage: dichromat export-dot [-h] -m M --witness b=K|t=K
+
+options:
+  -h, --help         show this help message and exit
+  -m M
+  --witness b=K|t=K
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "top-level")
+def test_help_text_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (0, HELP[command], "")
+
+
+_CHOICES = ", ".join(f"'{c}'" for c in COMMANDS)
+USAGE_ERRORS = [
+    ((), "the following arguments are required: command"),
+    (("frobnicate",), f"argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})"),
+    (("bset", "-m", "x", "-d", "1"), "argument -m: invalid int value: 'x'"),
+    (("profile", "--kind", "node"), "the following arguments are required: -m"),
+    (("profile", "--kind", "purple", "-m", "1"),
+     "argument --kind: invalid choice: 'purple' (choose from 'node', 'leaf')"),
+    (("bset", "-m", "2", "-d", "1", "extra"), "unrecognized arguments: extra"),
+    (("sweepout", "--strategy", "dfs-fill", "-m", "3", "--delta", "abc"),
+     "argument --delta: invalid float value: 'abc'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=[" ".join(a) or "no-arguments" for a, _ in USAGE_ERRORS]
+)
+def test_usage_error_message_pinned(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"dichromat: invalid usage: {message}\n")
+
+
+def _registered_commands(monkeypatch) -> list[str]:
+    names: list[str] = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "--kind", "node", "-m", "1"),
+        ("bset", "-m", "2", "-d", "1"),
+        ("bset", "-m", "x", "-d", "1"),
+        ("verify", "--which", "thm27", "-m", "2"),
+        ("width-bound", "-m", "2"),
+        ("iso-bound", "-m", "2"),
+        ("sweepout", "--strategy", "uniform", "-m", "2"),
+        ("export-dot", "-m", "1", "--witness", "b=1"),
+    ],
+    ids=" ".join,
+)
+def test_a_command_registers_only_its_parser(capsys, monkeypatch, argv):
+    names = _registered_commands(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    assert code == (1 if "x" in argv else 0), err
+    assert names == [argv[0]]
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("--help",), ("-h",), ("frobnicate",)],
+    ids=["no-arguments", "--help", "-h", "frobnicate"],
+)
+def test_no_command_registers_every_parser_in_order(capsys, monkeypatch, argv):
+    names = _registered_commands(monkeypatch)
+    with contextlib.suppress(SystemExit):
+        run(capsys, *argv)
+    assert names == COMMANDS
 
 
 def test_out_of_range_exit_1(capsys):
