@@ -48,14 +48,14 @@ def _is_rational(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def _check_float(value: Number, what: str) -> None:
+def _check_float(value: Number, what: str, fix: str = "use smaller volumes") -> None:
     """Refuse a quantity the float paths would read as infinite."""
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an exact value past the float range
         finite = False
     if not finite:
-        raise InvalidParameterError(f"{what} overflows float64; use smaller volumes")
+        raise InvalidParameterError(f"{what} overflows float64; {fix}")
 
 
 def _exact_div(num: Number, den: int) -> Number:
@@ -93,7 +93,13 @@ class BlockParams:
             raise InvalidParameterError("tube volume tau must exceed neck volume mu")
         if not 3 * self.mu < self.V0:
             raise InvalidParameterError("3*mu must stay below V0")
-        if not 2 * self.alpha < self.V0 - 3 * self.mu:
+        try:
+            room = self.V0 - 3 * self.mu
+        except OverflowError:  # an exact value past the float range met a float
+            raise InvalidParameterError(
+                "V0 - 3*mu overflows float64; give V0 and mu exactly, or smaller"
+            ) from None
+        if not 2 * self.alpha < room:
             raise InvalidParameterError("2*alpha must stay below V0 - 3*mu")
 
     @classmethod
@@ -188,7 +194,11 @@ def region_graph(m: int, params: BlockParams) -> RegionGraph:
     Raises `InvalidParameterError` when the total volume overflows
     float64, so that every capacity and every sum of them is finite."""
     graph = RegionGraph(tree=build_tree(m), params=params)
-    _check_float(graph.total_volume, f"total volume at m = {m}")
+    try:
+        total = graph.total_volume
+    except OverflowError:  # an exact volume past the float range met a float one
+        total = math.inf
+    _check_float(total, f"total volume at m = {m}")
     return graph
 
 
@@ -258,19 +268,36 @@ def iso_profile_lower_bound(
     bracket [0, C3*k/5] pins the root; iteration stops once the bracket
     is narrower than 1e-9 and the kept endpoint's residual is below
     1e-9 * max(1, C3*k).  The solve itself runs in float even for
-    rational inputs; a v_m that overflows float64 raises
-    `InvalidParameterError`.
+    rational inputs.  Raises `InvalidParameterError` when a float the
+    solve forms would overflow float64: v_m, C3, iso_C, the bracket top
+    C3 * k / 5, or (iso_C * top) ** 1.5, the largest power f takes.  It
+    raises the same when the bisection does not close within
+    `BISECTION_MAX_ITER` halvings.  Closing takes about log2(top / 1e-9)
+    of them, and more when the root lies far below the top: C3 = 1e100,
+    or iso_C = 1e200, at m = 3 need more than 300.
     """
     b_star, k = best_black_count(m, cap=cap)
-    denom = params.V0 + params.tau - 2 * params.mu
-    v_m = b_star * denom
+    try:
+        denom = params.V0 + params.tau - 2 * params.mu
+        v_m = b_star * denom
+    except OverflowError:  # an exact volume past the float range met a float one
+        v_m = math.inf
     _check_float(v_m, "v_m")  # and denom <= v_m, as b_star >= 1
+    for name in ("C3", "iso_C"):
+        _check_float(getattr(params, name), name, f"use a smaller {name}")
 
     c3 = float(params.C3)
     iso_c = float(params.iso_C)
     offset = abs(float(params.tau) - 2 * float(params.mu))
     denom_f = float(denom)
     k_f = float(k)
+    top = c3 * k_f / 5
+    _check_float(top, f"the bracket top C3 * k / 5 at m = {m}", "use a smaller C3")
+    try:  # f reads L in [0, top] only, and its power grows with L
+        power = (iso_c * top) ** 1.5
+    except OverflowError:
+        power = math.inf
+    _check_float(power, f"(iso_C * C3 * k / 5) ** 1.5 at m = {m}", "use a smaller iso_C or C3")
 
     def f(length: float) -> float:
         c2 = ((iso_c * length) ** 1.5 + offset) / denom_f
@@ -281,7 +308,7 @@ def iso_profile_lower_bound(
     # f(0) <= 0 is vacuous and closes the bracket at [0, 0]; otherwise
     # f_lo stays >= 0, as lo only moves to a point with f >= 0
     vacuous = f_lo <= 0
-    lo, hi = 0.0, 0.0 if vacuous else c3 * k_f / 5
+    lo, hi = 0.0, 0.0 if vacuous else top
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= BISECTION_WIDTH and f_lo <= ftol:
             break
@@ -292,7 +319,10 @@ def iso_profile_lower_bound(
         else:
             hi = mid
     else:
-        raise ArithmeticError("bisection failed to converge; ill-posed parameters")
+        raise InvalidParameterError(
+            f"the bisection did not close in {BISECTION_MAX_ITER} halvings of [0, {top!r}]; "
+            "use a smaller C3 or iso_C"
+        )
 
     return IsoQuery(
         m=m,

@@ -16,7 +16,10 @@ run, consecutive over the whole trace, so the step before an event its
 column held the value of the event before it, or, at the head of a run,
 its value in the row before the block.  The fills change one entry at a
 time, so after their empty first row they are event blocks of up to
-`_BLOCK_CELLS` steps, built by array arithmetic.  No consumer builds the
+`_BLOCK_CELLS` steps, built by array arithmetic.  Uniform and
+random-monotone are row blocks of about `_BLOCK_CELLS` cells, remade on
+every walk: uniform from its grid of fractions, random-monotone replayed
+from its seed.  No generated trace holds, and no consumer builds, the
 dense steps x entries table: validation, the special slice, the coloring,
 the certificate and the CSV writer each make one pass, branch once per
 block on its shape, and keep O(entries) state, the current row.  Only the
@@ -60,11 +63,17 @@ STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 
 # Largest float64 table a trace may need, 8 bytes a cell: the cells one
 # pass over a generated trace reads, and a dense `SweepoutTrace.steps`.
+# No generated trace holds those cells at once, so the cap bounds the
+# work of a pass and the table `steps` builds.  Random-monotone's memory
+# no longer grows with its rows, but its cap stays where its dense table
+# put it until a measurement moves it.
 TRACE_BYTES_CAP = 512 * 2**20
 
 # cells of a row block, or steps of an event block; a block of one row may
-# hold more
-_BLOCK_CELLS = 1 << 18
+# hold more.  2**15 cells (256 KiB) keep a row block and `validate_trace`'s
+# scratch of the same size inside a 2 MiB L2 cache; at 2**18 they spilled
+# to L3, and uniform's validate plus certify at m = 8 took 18-22% longer
+_BLOCK_CELLS = 1 << 15
 _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
@@ -113,14 +122,14 @@ class SweepoutTrace:
     shape of the table.  ``SweepoutTrace(graph=, steps=, step_bound=)``
     wraps a read-only copy of a dense table as row blocks, so the
     caller's array stays its own; it refuses, with `TraceError`, a table
-    that is not 2-D with ``graph.entry_count`` columns.  Random-monotone
-    and `trace_read_csv` hand over a table they made through `_owning`,
-    which takes it without a copy.
-    `generate_trace` makes the fill and uniform traces from their rule,
-    block by block, the fills as their empty row and then event blocks;
-    for those, ``steps`` builds the dense table on demand, one row per
-    step, refused past `TRACE_BYTES_CAP`.  No pass in the package reads
-    ``steps``.
+    that is not 2-D with ``graph.entry_count`` columns.
+    `trace_read_csv` hands over a table it made through `_owning`, which
+    takes it without a copy.  `generate_trace` makes every strategy's
+    trace from its rule, block by block, on each walk: the fills as their
+    empty row and then event blocks, uniform and random-monotone as row
+    blocks, each a new array.  For those, ``steps`` builds the dense
+    table on demand, one row per step, refused past `TRACE_BYTES_CAP`.
+    No pass in the package reads ``steps``.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
@@ -535,6 +544,66 @@ def _fill_blocks(
         yield start, np.repeat(order_cols[met], taken), values
 
 
+def _monotone_step(
+    rng: np.random.Generator, row: np.ndarray, caps: np.ndarray, delta: float,
+    out: np.ndarray, lo: int, hi: int,
+) -> tuple[int, int]:
+    """Write into ``out`` the random-monotone step after ``row``,
+    ``min(row + uniform(0.25, 1) * delta, caps)`` in every entry, and
+    return the span ``[lo, hi)`` of the entries it leaves below their cap.
+
+    Every entry outside the span ``[lo, hi)`` given is at its cap in
+    ``row``, and a cap plus a positive increment clips back to the cap,
+    so those entries copy their caps and `PCG64.advance` skips their
+    draws.  `Generator.uniform` forms ``0.25 + 0.75 * random()``, so the
+    entries in the span take its float operations, in place, and the sum
+    commutes: ``out`` is bit for bit ``np.minimum(row +
+    rng.uniform(0.25, 1.0, n) * delta, caps)``, and ``rng`` ends where
+    that call leaves it.  At 65533 entries a whole span takes 0.38 ms
+    against 0.94 for that call (2-vCPU Xeon); with the wide parameters
+    the tubes are full after a few steps and the span drops to the
+    regions, half the entries."""
+    out[:lo] = caps[:lo]
+    out[hi:] = caps[hi:]
+    rng.bit_generator.advance(lo)
+    part = out[lo:hi]
+    rng.random(out=part)
+    part *= 0.75
+    part += 0.25
+    part *= delta
+    part += row[lo:hi]
+    np.minimum(part, caps[lo:hi], out=part)
+    rng.bit_generator.advance(caps.size - hi)
+    below = part < caps[lo:hi]
+    if not below.any():
+        return lo, lo
+    return lo + int(below.argmax()), hi - int(below[::-1].argmax())
+
+
+def _monotone_blocks(graph: RegionGraph, delta: float, seed: int, rows: int) -> Iterator[Block]:
+    """The ``rows`` rows of random-monotone, replayed from ``seed`` as
+    row blocks: the empty row, then one `_monotone_step` a row, each
+    written straight into a new read-only block."""
+    caps = graph.capacities
+    rng = np.random.default_rng(seed)
+    row = None  # the row before the next one made, once there is one
+    lo, hi = 0, caps.size  # the span of its entries below their cap
+
+    def take(at: slice) -> np.ndarray:
+        nonlocal row, lo, hi
+        block = np.empty((len(range(rows)[at]), caps.size))
+        for t, out in enumerate(block, at.start):
+            if t:
+                lo, hi = _monotone_step(rng, row, caps, delta, out, lo, hi)
+            else:
+                out.fill(0.0)
+            row = out
+        block.flags.writeable = False
+        return block
+
+    return _row_blocks(rows, caps.size, take)
+
+
 def _class_parts(graph: RegionGraph, delta: float) -> list[int]:
     """Sub-delta steps a fill takes per entry of each volume class."""
     return [_ceil_snap(float(volume) / delta) for volume, _ in graph.volume_classes]
@@ -580,8 +649,11 @@ def generate_trace(
     `_trace_rows` rows counted from the four volume classes, would exceed
     `TRACE_BYTES_CAP`, or when a volume / delta overflows float64.  A
     fill whose k * volume overflows float64 raises `InvalidParameterError`,
-    also before any per-entry array.  The fills and uniform are made
-    block by block as they are read; random-monotone is a dense table.
+    also before any per-entry array.  Every trace is made block by block
+    as it is read.  Random-monotone's row count is found here, by one
+    replay from the seed that keeps the current row; each walk replays
+    the rows again, the same float operations in the same order, so they
+    are bit for bit the rows a dense table held.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -628,16 +700,19 @@ def generate_trace(
         blocks = partial(_fill_blocks, graph, order, parts)
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
-    # rows past the last one written are never touched, so never resident
-    rng = np.random.default_rng(0 if seed is None else seed)
-    steps = np.empty((rows, caps.size))
-    steps[0] = 0.0
+    # count the rows by one replay that keeps the current row; [lo, hi)
+    # spans every entry below its cap, so lo < hi is any(row < caps)
+    seed = 0 if seed is None else seed
+    rng = np.random.default_rng(seed)
+    row, nxt = np.zeros(caps.size), np.empty(caps.size)
+    lo, hi = 0, caps.size
     last = 0
-    while last + 1 < rows and np.any(steps[last] < caps):
-        inc = rng.uniform(0.25, 1.0, caps.size) * delta
-        np.minimum(steps[last] + inc, caps, out=steps[last + 1])
+    while last + 1 < rows and lo < hi:
+        lo, hi = _monotone_step(rng, row, caps, delta, nxt, lo, hi)
+        row, nxt = nxt, row
         last += 1
-    return SweepoutTrace._owning(graph, steps[: last + 1], delta)
+    blocks = partial(_monotone_blocks, graph, delta, seed, last + 1)
+    return SweepoutTrace._from_blocks(graph, delta, last + 1, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,74 @@ def test_overflowing_volumes_refused(capsys, tmp_path, argv, message, params):
         assert err == f"dichromat: invalid input: {message}; use smaller volumes\n"
 
 
+# comparison constants the iso-bound bisection cannot carry in float64, or
+# cannot close on in its 300 halvings; each ended in a traceback
+LARGE_CONSTANTS = {
+    "C3-float": ("C3 = 1e308", 1e308,
+                 "the bracket top C3 * k / 5 at m = 3 overflows float64; use a smaller C3"),
+    "iso_C-float": ("iso_C = 1e300", 1e300, "(iso_C * C3 * k / 5) ** 1.5 at m = 3 overflows "
+                    "float64; use a smaller iso_C or C3"),
+    "C3-exact": (f"C3 = {10**400}", 10**400, "C3 overflows float64; use a smaller C3"),
+    "iso_C-exact": (f"iso_C = {10**400}", 10**400, "iso_C overflows float64; use a smaller iso_C"),
+    "C3-far": ("C3 = 1e100", 1e100, "the bisection did not close in 300 halvings of "
+               "[0, 4e+99]; use a smaller C3 or iso_C"),
+    "iso_C-far": ("iso_C = 1e200", 1e200, "the bisection did not close in 300 halvings of "
+                  "[0, 0.4]; use a smaller C3 or iso_C"),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_CONSTANTS))
+@pytest.mark.parametrize("command", ["iso-bound", "width-bound"])
+def test_large_comparison_constants(capsys, tmp_path, command, name):
+    line, value, message = LARGE_CONSTANTS[name]
+    cfg = tmp_path / "large.params"
+    cfg.write_text(line + "\n")
+    code, out, err = _run_quietly(capsys, command, "-m", "3", "--params", str(cfg))
+    key = line.split(" = ")[0]
+    if command == "width-bound":  # it reads neither constant
+        assert code == 0, err
+        assert json.loads(out)["params"][key] == value
+    else:
+        assert (code, out) == (1, "")
+        assert err == f"dichromat: invalid input: {message}\n"
+
+
+# an exact volume past the float range beside the float defaults: the float
+# arithmetic that mixed them raised OverflowError with a traceback
+MIXED_VOLUMES = {
+    "tau": (f"tau = {10**400}", {
+        "sweepout": "total volume at m = 3 overflows float64; use smaller volumes",
+        "iso-bound": "v_m overflows float64; use smaller volumes",
+        "width-bound": None,  # it reads no volume
+    }),
+    "V0": (f"V0 = {10**400}", dict.fromkeys(
+        ("sweepout", "iso-bound", "width-bound"),
+        "V0 - 3*mu overflows float64; give V0 and mu exactly, or smaller",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_VOLUMES))
+@pytest.mark.parametrize(
+    "argv",
+    [*[("sweepout", "--strategy", s) for s in sweepout.STRATEGIES], ("iso-bound",),
+     ("width-bound",)],
+    ids=[*sweepout.STRATEGIES, "iso-bound", "width-bound"],
+)
+def test_exact_volume_past_float_range_beside_floats(capsys, tmp_path, argv, name):
+    line, messages = MIXED_VOLUMES[name]
+    cfg = tmp_path / "mixed.params"
+    cfg.write_text(line + "\n")
+    code, out, err = _run_quietly(capsys, *argv, "-m", "3", "--params", str(cfg))
+    message = messages[argv[0]]
+    if message is None:
+        assert code == 0, err
+        assert json.loads(out)["params"][name] == 10**400
+    else:
+        assert (code, out) == (1, "")
+        assert err == f"dichromat: invalid input: {message}\n"
+
+
 @pytest.mark.parametrize("strategy", ["dfs-fill", "bfs-fill"])
 def test_fill_step_overflow_refused(capsys, tmp_path, strategy):
     # the total (about 1.5e308) is finite, but a leaf's 20th fill step
@@ -628,6 +696,59 @@ for _argv, _, _ in GOLDEN:
 def test_stdout_golden(capsys, argv, code, digest):
     got, out, err = run(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+
+
+# random-monotone sweepouts with the wide params, recorded while the generator
+# still held the dense table: seed 0 and the three seeds `perfbench/run.py
+# --workload sweep-wide` draws for each of its seeds 1-3
+MONOTONE_SEEDS = (0, 1855891768, 1001658124, 2146016150, 932210680, 364917092, 880447965,
+                  372882755, 179265562, 1748877774)
+MONOTONE_PINS = {
+    12: (
+        "c6e4490723594b618643bf49e53552443576a803e9b2ebfa6b06ff5cbda6dcd2",
+        "5cc83531e5fa0e58a66f53f08ae6afa1cbe89cd9a9ebc2e22e4cca1699d2d401",
+        "111d7b40ed4dd9a62f73971182f172009753d91870786df7f12c94096b788c96",
+        "33e3fff24c884e03e6d062e488947847624c37216ae8e692038a7871ba18ff6f",
+        "aa7798ecc0a67ddea035ec7a8eea47e5c4cb9ca9cf7b5aad42aa29846ecf52e3",
+        "78a793bd684c14db4e29b37f1d9f101e1791940a8c7ea47d23b220ddbdf9f587",
+        "20085915e7f2f5b594e40428cef271e6c514cb79b890fcb40b6aae79c09666a8",
+        "21d5ecace40787b5045228becae2d4025be6f6e92cf34d8fc40e59e9368744d4",
+        "1d89ab863b9e48be2f24bb486e7b9dbdb15a1dded7586bbcea5ba35f4a7af819",
+        "065b9a541b0642a3631a22af6f2ee23904c734f27dd789c81fb7feb3451b4315",
+    ),
+    14: (
+        "947e7de0cae73f94b426b7cba08f85bc1da463be8ae59910705ca9ef2ba27b40",
+        "524df187771fb2026de87b6695683c0951a82b460a0e7fd4eb79d2459eb8efb5",
+        "8f993dd57d47dde42fe9334a5de075f5311c5c025fb391e20b41cac499f6065d",
+        "6061cbd7c567a9a9316b490f4e25c16bbfc8defa838671db3ccbf0be74cf300a",
+        "fdc0ba2f13b3bb0eeb60dd5c048c66853f6ddf492db7e18ca6e69e1ba0a555df",
+        "22fc447e7e08e9ca556283e70d02301ca8d45c728216fc853971feca40f1a9ab",
+        "b6fd4688512ae9520b93f2bce0aecac0d4eef2056287cbaee64681c14f51afa6",
+        "232e32a39f839c2ea5c9092602cf310d7a882675005d0005a25041ef691c5ba4",
+        "3260c584cf203e7d503c6efa7d3aaf5c28f9ebe74c39c3ced2a4612f239f3afb",
+        "81a256bf71824cc4b582d32a1a1627c4e9396c8dbda4228d95f21bd2b3690e85",
+    ),
+    16: (
+        "3846d4eed717e7675fa267b74454e0e378cbba935ab531da558e3ab289a0618e",
+        "31323dba8ad9c0fa1ef5490c1dd036824b2c5c493a38570423bf8b31a7bed39b",
+        "990201f8ca9289a23b13b4a640c349b4c91b68f03039fa5eed05b16815b9d387",
+        "8cac16aa888b56082b5a3892b33895221d7e1a60d89c0f47eb719d11e1abd8d1",
+        "e66b7294e5faf074b6b115ef72006d378de262dc26f7f8ccb5d69cbff6363f6e",
+        "14a2470e5486e8fab9de3b141b8ea409fbf43312942ebce0ed673abf32465dc9",
+        "e7f5261f42ae22b97fbaa21b7d97ca28d21277eb653849a687b01371cf1288e2",
+        "f4ff73e46e573bb343b85abda89e3470c19f20245d0148671297cead86c72edf",
+        "b027f48e858fc78958e4df99784b5cbefc24b40d75948c93f374d305d90ed3db",
+        "6caac41d4a223ad8209c6b06cd14e4b60747313aeeeae6185ff3430cd8b0f6a8",
+    ),
+}
+
+
+@pytest.mark.parametrize("m", sorted(MONOTONE_PINS))
+def test_random_monotone_stdout_pinned(capsys, m):
+    for seed, digest in zip(MONOTONE_SEEDS, MONOTONE_PINS[m]):
+        code, out, err = run(capsys, "sweepout", "-m", str(m), "--strategy", "random-monotone",
+                             "--seed", str(seed), "--params", WIDE_PARAMS)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (seed, err)
 
 
 def _emitted(payload):

@@ -78,6 +78,53 @@ def test_random_monotone_seed_determinism(params):
     ).steps.tobytes()
 
 
+def test_random_monotone_replays_without_the_table():
+    # the rows are replayed from the seed a block at a time: no pass builds
+    # the dense table, and the three passes together hold a small part of it
+    certify(generate_trace("random-monotone", 2, WIDE, seed=3))  # first-call allocations
+    tracemalloc.start()
+    try:
+        trace = generate_trace("random-monotone", 12, WIDE, seed=3)
+        assert validate_trace(trace).ok
+        certify(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace._steps is None
+    rows, entries = trace.shape
+    assert peak < rows * entries * 8 / 4, (peak, trace.shape)
+    # each walk replays the same rows into new read-only blocks
+    first, again = next(trace.blocks())[2], next(trace.blocks())[2]
+    assert first.tobytes() == again.tobytes()
+    assert not np.shares_memory(first, again) and not first.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**63 + 5])
+def test_monotone_step_equals_uniform_draws(seed):
+    # the replay draws by Generator.random in place and skips the draws of
+    # full entries; a platform where Generator.uniform(0.25, 1.0) rounds
+    # otherwise, or where advance does not skip draws one for one, must
+    # fail here
+    n, delta = 4099, 0.37
+    draws, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = np.empty(n)
+    # from the empty row with no cap, the step is the increment itself
+    span = sweepout._monotone_step(replay, np.zeros(n), np.full(n, np.inf), delta, out, 0, n)
+    assert span == (0, n)
+    assert out.tobytes() == (draws.uniform(0.25, 1.0, n) * delta).tobytes()
+    # caps that fill the ends first, so the span of entries below their cap shrinks
+    caps = 0.5 + 2.5 * np.sin(np.linspace(0.0, np.pi, n))
+    row, lo, hi = np.minimum(out, caps), 0, n
+    while lo < hi:
+        expect = np.minimum(row + draws.uniform(0.25, 1.0, n) * delta, caps)
+        lo, hi = sweepout._monotone_step(replay, row, caps, delta, out, lo, hi)
+        assert out.tobytes() == expect.tobytes()
+        below = np.flatnonzero(expect < caps)
+        assert (lo, hi) == ((below[0], below[-1] + 1) if below.size else (lo, lo))
+        row = expect
+    assert replay.random() == draws.random()
+
+
 def test_generate_rejects_bad_input(params):
     with pytest.raises(Exception):
         generate_trace("sideways", 2, params)
