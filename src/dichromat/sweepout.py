@@ -72,7 +72,9 @@ TRACE_BYTES_CAP = 512 * 2**20
 # cells of a row block, or steps of an event block; a block of one row may
 # hold more.  2**15 cells (256 KiB) keep a row block and `validate_trace`'s
 # scratch of the same size inside a 2 MiB L2 cache; at 2**18 they spilled
-# to L3, and uniform's validate plus certify at m = 8 took 18-22% longer
+# to L3, and uniform's validate plus certify at m = 8 took 18-22% longer.
+# A fill then walks 8 times as many event blocks, 1504 a pass at m = 20,
+# and its fresh-process time held or fell 4-8% at m = 14, 16 and 20
 _BLOCK_CELLS = 1 << 15
 _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
@@ -580,24 +582,39 @@ def _monotone_step(
     return lo + int(below.argmax()), hi - int(below[::-1].argmax())
 
 
-def _monotone_blocks(graph: RegionGraph, delta: float, seed: int, rows: int) -> Iterator[Block]:
-    """The ``rows`` rows of random-monotone, replayed from ``seed`` as
-    row blocks: the empty row, then one `_monotone_step` a row, each
-    written straight into a new read-only block."""
-    caps = graph.capacities
+def _monotone_rows(caps: np.ndarray, delta: float, seed: int) -> Callable[[np.ndarray], bool]:
+    """A writer of random-monotone's rows in order, replayed from
+    ``seed``: each call writes the next row into the buffer it is given,
+    the empty row first and then one `_monotone_step` a row, and returns
+    whether an entry of that row is still below its cap.  The next step
+    reads that buffer, so it must hold the row until the next call."""
     rng = np.random.default_rng(seed)
-    row = None  # the row before the next one made, once there is one
+    row = None  # the row last written, once there is one
     lo, hi = 0, caps.size  # the span of its entries below their cap
 
-    def take(at: slice) -> np.ndarray:
+    def write(out: np.ndarray) -> bool:
         nonlocal row, lo, hi
+        if row is None:
+            out.fill(0.0)
+        else:
+            lo, hi = _monotone_step(rng, row, caps, delta, out, lo, hi)
+        row = out
+        return lo < hi
+
+    return write
+
+
+def _monotone_blocks(graph: RegionGraph, delta: float, seed: int, rows: int) -> Iterator[Block]:
+    """The ``rows`` rows of random-monotone, replayed from ``seed`` by
+    `_monotone_rows` as row blocks, each row written straight into a new
+    read-only block."""
+    caps = graph.capacities
+    write = _monotone_rows(caps, delta, seed)
+
+    def take(at: slice) -> np.ndarray:
         block = np.empty((len(range(rows)[at]), caps.size))
-        for t, out in enumerate(block, at.start):
-            if t:
-                lo, hi = _monotone_step(rng, row, caps, delta, out, lo, hi)
-            else:
-                out.fill(0.0)
-            row = out
+        for out in block:
+            write(out)
         block.flags.writeable = False
         return block
 
@@ -700,17 +717,15 @@ def generate_trace(
         blocks = partial(_fill_blocks, graph, order, parts)
         return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
-    # count the rows by one replay that keeps the current row; [lo, hi)
-    # spans every entry below its cap, so lo < hi is any(row < caps)
+    # count the rows by one replay that keeps the current row in one of
+    # two buffers; below is any(row < caps) of the last row written
     seed = 0 if seed is None else seed
-    rng = np.random.default_rng(seed)
-    row, nxt = np.zeros(caps.size), np.empty(caps.size)
-    lo, hi = 0, caps.size
-    last = 0
-    while last + 1 < rows and lo < hi:
-        lo, hi = _monotone_step(rng, row, caps, delta, nxt, lo, hi)
-        row, nxt = nxt, row
+    write = _monotone_rows(caps, delta, seed)
+    pair = np.empty((2, caps.size))
+    last, below = 0, write(pair[0])
+    while last + 1 < rows and below:
         last += 1
+        below = write(pair[last % 2])
     blocks = partial(_monotone_blocks, graph, delta, seed, last + 1)
     return SweepoutTrace._from_blocks(graph, delta, last + 1, blocks)
 
