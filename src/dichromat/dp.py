@@ -33,9 +33,10 @@ one at a time, in order, each summed over each unordered pair of input
 rows once.  Before it is thresholded, every row must lie within 0.25 of
 an integer vector, or `DichromatError` is raised.
 
-`witness` walks the per-depth profile rows back down one level at a
-time.  A node's choice of child colors and budget split depends only on
-its depth, color and budget, so each level solves it once per distinct
+`witness` climbs the per-depth profile rows again, since a profile keeps
+only its answer, and walks them back down one level at a time.  A
+node's choice of child colors and budget split depends only on its
+depth, color and budget, so each level solves it once per distinct
 (color, budget) state, from a (states x left budget) table of candidate
 costs, and every node reads the choice of its state.
 
@@ -44,7 +45,8 @@ depth 18, and achievable-set tables to `PAIRS_CELLS_CAP` cells:
 `pairs_depth_limit` is the one place that turns the cell cap into a
 depth, before anything of size 2**m is formed.  Pass ``cap=`` explicitly (or
 set ``DICHROMAT_MAX_M`` when going through the CLI) to move the profile
-cap, or to lower the depth allowed for achievable sets.
+cap, up to the tree cap `DEFAULT_TREE_CAP` and no further, or to lower
+the depth allowed for achievable sets.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import numpy as np
 from .errors import CapacityError, DichromatError, InvalidParameterError
 from .tree import (
     BLACK,
+    DEFAULT_TREE_CAP,
     WHITE,
     Coloring,
     EdgeSet,
@@ -88,16 +91,14 @@ class DpProfile:
 
     ``min_d[i]`` is the optimum for ``index_range[i]``: black node counts
     ``1..2**(m+1)-1`` for the node kind, black leaf counts ``0..2**m`` for
-    the leaf kind.  ``witness_seed`` holds one white-root row per depth,
-    index 0 = root, with the black-root row as its mirror ``row[::-1]``:
-    exactly the state `witness` needs to rebuild an optimal coloring.
+    the leaf kind.  The profile keeps only this answer; `witness` climbs
+    the per-depth rows again (`_profile_tables`) to rebuild a coloring.
     """
 
     m: int
     kind: str
     index_range: range
     min_d: np.ndarray = field(repr=False)
-    witness_seed: tuple[np.ndarray, ...] = field(repr=False)
 
     def __getitem__(self, index: int) -> int:
         if not is_int(index):
@@ -229,21 +230,29 @@ def _profile_tables(m: int, kind: str) -> list[np.ndarray]:
 
     So R = S = the minimum of the four terms.
     """
+    return list(_climb(m, kind))[::-1]
+
+
+def _climb(m: int, kind: str) -> Iterator[np.ndarray]:
+    """The white-root rows of `_profile_tables`, from height 0 up to m,
+    each made from the one before."""
     row = np.array([0.0, np.inf])
-    tables = [row]
     all_black = [np.inf] if kind == NODE else []
+    yield row
     for _ in range(m):
         either = np.minimum(row, 1 + row[::-1])
         row = np.concatenate((either, 1 + either[1:], all_black))
-        tables.append(row)
-    return tables[::-1]
+        yield row
 
 
 def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
     what = "node_profile" if kind == NODE else "leaf_profile"
-    _check_depth(m, cap, DEFAULT_PROFILE_CAP, what)
-    tables = _profile_tables(m, kind)
-    root = np.minimum(tables[0], tables[0][::-1])
+    # a cap passed in moves the profile cap up to the tree cap, no further
+    limit = cap if cap is None else min(cap, DEFAULT_TREE_CAP)
+    _check_depth(m, limit, DEFAULT_PROFILE_CAP, what)
+    for top in _climb(m, kind):  # holds two rows at a time
+        pass
+    root = np.minimum(top, top[::-1])
     first = 1 if kind == NODE else 0  # a node profile counts from one black node
     index_range = range(first, root.size)
     values = root[first:]
@@ -251,9 +260,7 @@ def _profile(m: int, kind: str, cap: int | None) -> DpProfile:
         raise DichromatError("internal error: unreachable count in profile range")
     min_d = values.astype(np.int64)
     min_d.flags.writeable = False
-    return DpProfile(
-        m=m, kind=kind, index_range=index_range, min_d=min_d, witness_seed=tuple(tables)
-    )
+    return DpProfile(m=m, kind=kind, index_range=index_range, min_d=min_d)
 
 
 def node_profile(m: int, cap: int | None = None) -> DpProfile:
@@ -267,8 +274,8 @@ def leaf_profile(m: int, cap: int | None = None) -> DpProfile:
 
 
 def witness(profile: DpProfile, index: int) -> Coloring:
-    """One optimal coloring for ``index``, rebuilt from the profile's
-    per-depth rows.
+    """One optimal coloring for ``index``, rebuilt from the per-depth
+    rows, which `_profile_tables` climbs again.
 
     Ties are broken deterministically toward the lexicographically
     smallest bit vector: white root first, then white left child, white
@@ -279,8 +286,8 @@ def witness(profile: DpProfile, index: int) -> Coloring:
     `count_dichromatic` before it is returned.
     """
     target = profile[index]
-    tables = profile.witness_seed
     m = profile.m
+    tables = _profile_tables(m, profile.kind)
     tree = build_tree(m)
     bits = np.zeros(tree.node_count, dtype=np.uint8)
 

@@ -22,16 +22,21 @@ every walk: uniform from its grid of fractions, random-monotone replayed
 from its seed.  No generated trace holds, and no consumer builds, the
 dense steps x entries table: validation, the special slice, the coloring,
 the certificate and the CSV writer each make one pass, branch once per
-block on its shape, and keep O(entries) state, the current row.  Only the
-row of the special slice is kept.
+block on its shape, and keep O(entries) state, the current row.  A trace
+holds no consumer's state: the walk that finds the special slice returns
+its row, and `certify` hands that row on to the coloring and the
+sandwich check.
 
-The certificate logic re-checks every claimed volume sandwich directly
-against the trace numbers; nothing is trusted from the coloring step.
+`certify` is the one path from a trace to a certificate: it validates
+the trace first, so a trace that is no sweepout gets no certificate, and
+it re-checks every claimed volume sandwich directly against the trace
+numbers; nothing is trusted from the coloring step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -124,34 +129,27 @@ class SweepoutTrace:
     shape of the table.  ``SweepoutTrace(graph=, steps=, step_bound=)``
     wraps a read-only copy of a dense table as row blocks, so the
     caller's array stays its own; it refuses, with `TraceError`, a table
-    that is not 2-D with ``graph.entry_count`` columns.
-    `trace_read_csv` hands over a table it made through `_owning`, which
-    takes it without a copy.  `generate_trace` makes every strategy's
-    trace from its rule, block by block, on each walk: the fills as their
-    empty row and then event blocks, uniform and random-monotone as row
-    blocks, each a new array.  For those, ``steps`` builds the dense
-    table on demand, one row per step, refused past `TRACE_BYTES_CAP`.
-    No pass in the package reads ``steps``.
+    that is not 2-D with ``graph.entry_count`` columns.  Every other trace
+    comes from the block constructor, `_from_blocks`: `trace_read_csv`
+    hands it the table it parsed, as row blocks and without a copy, and
+    `generate_trace` makes every strategy's trace from its rule, block by
+    block, on each walk: the fills as their empty row and then event
+    blocks, uniform and random-monotone as row blocks, each a new array.
+    For those, ``steps`` builds the dense table on demand, one row per
+    step, refused past `TRACE_BYTES_CAP`.  No pass in the package reads
+    ``steps``, and none writes to the trace: what a consumer finds, such
+    as the special slice and its row, it returns.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
-        self._wrap(graph, np.array(steps, dtype=np.float64), step_bound)
-
-    @classmethod
-    def _owning(cls, graph: RegionGraph, table: np.ndarray, step_bound: float) -> SweepoutTrace:
-        """Wrap a float64 table that no one else writes, without a copy."""
-        trace = cls.__new__(cls)
-        trace._wrap(graph, table, step_bound)
-        return trace
-
-    def _wrap(self, graph: RegionGraph, table: np.ndarray, step_bound: float) -> None:
+        table = np.array(steps, dtype=np.float64)
         if table.ndim != 2 or table.shape[1] != graph.entry_count:
             raise TraceError(
                 f"expected a (steps, {graph.entry_count}) table, got shape {table.shape}"
             )
         table.flags.writeable = False
         blocks = partial(_row_blocks, len(table), graph.entry_count, table.__getitem__)
-        self._init(graph, step_bound, table.shape, blocks)
+        self._init(graph, step_bound, len(table), blocks)
         self._steps = table
 
     @classmethod
@@ -160,20 +158,19 @@ class SweepoutTrace:
         blocks: Callable[[], Iterator[Block]],
     ) -> SweepoutTrace:
         trace = cls.__new__(cls)
-        trace._init(graph, step_bound, (rows, graph.entry_count), blocks)
+        trace._init(graph, step_bound, rows, blocks)
         return trace
 
-    def _init(self, graph, step_bound, shape, blocks) -> None:
+    def _init(self, graph, step_bound, rows, blocks) -> None:
         if not 0 < step_bound < math.inf:
             raise InvalidParameterError(
                 f"step_bound must be finite and positive, got {step_bound}"
             )
         self.graph = graph
         self.step_bound = step_bound
-        self.shape: tuple[int, ...] = shape
+        self.shape = (rows, graph.entry_count)
         self.blocks: Callable[[], Iterator[Block]] = blocks  # a new walk per call
         self._steps: np.ndarray | None = None
-        self._row: tuple[int, np.ndarray] | None = None  # the last row asked for
 
     @property
     def steps(self) -> np.ndarray:
@@ -201,22 +198,15 @@ class SweepoutTrace:
         return self._steps
 
     def row(self, t: int) -> np.ndarray:
-        """Row ``t``, read-only; the last row asked for is kept."""
+        """Row ``t``, a new read-only array from a new walk of the blocks."""
         if not is_int(t):
             raise InvalidParameterError(f"step must be an integer, got {t!r}")
-        if self._row is None or self._row[0] != t:
-            for start, cols, values, row in _walk(self):
-                if 0 <= t - start < len(values):
-                    _to_step(row, cols, values, t - start)
-                    self._keep_row(t, row)
-                    break
-            else:
-                raise InvalidParameterError(f"step {t} outside the trace")
-        return self._row[1]
-
-    def _keep_row(self, t: int, row: np.ndarray) -> None:
-        row.flags.writeable = False
-        self._row = (t, row)
+        for start, cols, values, row in _walk(self):
+            if 0 <= t - start < len(values):
+                _to_step(row, cols, values, t - start)
+                row.flags.writeable = False
+                return row
+        raise InvalidParameterError(f"step {t} outside the trace")
 
 
 def _walk(trace: SweepoutTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -337,11 +327,15 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     ``a - 1`` leaves may exceed alpha by more than one step bound.  For a
     valid trace this always holds (one step earlier, fewer than ``a``
     leaves had reached alpha); a violation therefore means the trace
-    breaks its own declared step bound.  One pass over the blocks up to
-    that step, with a running count of leaves at or above alpha, which
-    a leaf event moves by at most one; the trace keeps the row of the
-    step it finds.
+    breaks its own declared step bound.
     """
+    return _special_slice(trace, a)[0]
+
+
+def _special_slice(trace: SweepoutTrace, a: int) -> tuple[int, np.ndarray]:
+    """`find_special_slice`'s step and its row, read-only.  One pass over
+    the blocks up to that step, with a running count of leaves at or
+    above alpha, which a leaf event moves by at most one."""
     leaf_count = trace.graph.tree.leaf_count
     if not is_int(a) or not 1 <= a <= leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{leaf_count}, got {a!r}")
@@ -375,8 +369,8 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
             "regenerate the trace with a finer step_bound "
             "(delta <= alpha/4 is always safe)"
         )
-    trace._keep_row(t0, row)
-    return t0
+    row.flags.writeable = False
+    return t0, row
 
 
 def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
@@ -395,8 +389,13 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
         raise InvalidParameterError(f"t0={t0!r} outside the trace")
     if not is_int(a) or not 1 <= a <= tree.leaf_count:
         raise InvalidParameterError(f"a must lie in 1..{tree.leaf_count}, got {a!r}")
+    return _coloring(trace, t0, trace.row(t0), a)
+
+
+def _coloring(trace: SweepoutTrace, t0: int, row: np.ndarray, a: int) -> Coloring:
+    """`induce_coloring` of ``row``, the row of step ``t0``."""
+    tree = trace.graph.tree
     alpha = float(trace.graph.params.alpha)
-    row = trace.row(t0)
     leaf_vols = row[trace.graph.leaf_cols]
 
     margin = alpha + trace.step_bound
@@ -413,7 +412,7 @@ def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
     bits[: tree.first_leaf - 1] = np.where(internal_vols >= alpha, BLACK, WHITE)
 
     white_leaves = leaf_vols[bits[trace.graph.leaf_cols] == WHITE]
-    if white_leaves.size and white_leaves.max() > alpha + trace.step_bound:
+    if white_leaves.size and white_leaves.max() > margin:
         raise AdmissibilityError(
             f"a white leaf holds {white_leaves.max():.6g} > alpha + step_bound "
             f"at step {t0}; regenerate the trace with a finer step_bound"
@@ -440,24 +439,32 @@ class SliceCertificate:
 
 
 def certify(trace: SweepoutTrace) -> SliceCertificate:
-    """Find the special slice, induce its coloring, and certify the area.
+    """Validate the trace, find the special slice, induce its coloring,
+    and certify the area.
 
-    alpha and rel_isop_C are read from the parameters the trace's region
-    graph was built with.  Each candidate pair is re-checked numerically
-    against the trace row, independently of how the coloring was derived.
+    The width bound holds only for a valid sweepout, so a trace that
+    fails `validate_trace` raises `TraceError` naming the failed check
+    and its step.  alpha and rel_isop_C are read from the parameters the
+    trace's region graph was built with.  The slice's row is read once,
+    by the walk that finds the slice; each candidate pair is re-checked
+    numerically against that row, independently of how the coloring was
+    derived.
     """
+    report = validate_trace(trace)
+    if not report.ok:
+        at = "" if report.step is None else f" at step {report.step}"
+        raise TraceError(f"trace failed validation{at}: {report.message}")
     graph = trace.graph
     params = graph.params
     a = a_of_m(graph.tree.m)
-    t0 = find_special_slice(trace, a)
-    coloring = induce_coloring(trace, t0, a)
+    t0, row = _special_slice(trace, a)
+    coloring = _coloring(trace, t0, row, a)
 
     alpha = float(params.alpha)
     child = dichromatic_children(coloring)
     parent = child // 2
     cols = (graph.region_col(parent), graph.region_col(child), graph.tube_col(child))
     # summed parent region, child region, tube: the rounding the output pins
-    row = trace.row(t0)
     occupied = sum(row[c] for c in cols)
     total = sum(graph.capacities[c] for c in cols)
     keep = (alpha <= occupied) & (occupied <= total - alpha)
@@ -621,6 +628,14 @@ def _monotone_blocks(graph: RegionGraph, delta: float, seed: int, rows: int) -> 
     return _row_blocks(rows, caps.size, take)
 
 
+def _size(n: int | float, unit: int = 1) -> str:
+    """``n / unit`` for a count ``n``, or inf, rounded: in full below
+    10**9, else to two digits as ``4.1e200``, and inf past float64, so
+    that no trace size makes its refusal a line of 200 characters."""
+    x = n / unit if n <= sys.float_info.max else math.inf
+    return f"{x:.0f}" if x < 1e9 else f"{x:.2g}".replace("+", "")
+
+
 def _class_parts(graph: RegionGraph, delta: float) -> list[int]:
     """Sub-delta steps a fill takes per entry of each volume class."""
     return [_ceil_snap(float(volume) / delta) for volume, _ in graph.volume_classes]
@@ -693,8 +708,8 @@ def generate_trace(
     cells = _trace_cells(strategy, graph, rows)
     if cells * 8 > TRACE_BYTES_CAP:
         raise CapacityError(
-            f"{strategy} trace at m={m} needs up to {rows} x {graph.entry_count} entries, "
-            f"{cells} cells a pass ({cells * 8 / 2**20:.0f} MiB), above the "
+            f"{strategy} trace at m={m} needs up to {_size(rows)} x {graph.entry_count} "
+            f"entries, {_size(cells)} cells a pass ({_size(cells, 2**17)} MiB), above the "
             f"{TRACE_BYTES_CAP // 2**20} MiB trace cap; use a smaller m or a larger delta"
         )
     if strategy in ("dfs-fill", "bfs-fill"):
@@ -970,4 +985,6 @@ def trace_read_csv(
         )
     steps = np.empty((rows, entries))
     steps.reshape(-1)[flat] = np.concatenate([np.empty(0), *values])
-    return SweepoutTrace._owning(graph, steps, step_bound)
+    steps.flags.writeable = False
+    blocks = partial(_row_blocks, rows, entries, steps.__getitem__)
+    return SweepoutTrace._from_blocks(graph, step_bound, rows, blocks)

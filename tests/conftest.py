@@ -169,7 +169,7 @@ def leaf_profile_naf(m: int) -> np.ndarray:
 
 def profile_rows_signed(m: int, kind: str) -> list[np.ndarray]:
     """The per-depth white-root rows of a depth-m profile, index 0 = root,
-    as `DpProfile.witness_seed` holds them, with no dynamic program.
+    as `dichromat.dp._profile_tables` climbs them, with no dynamic program.
 
     Row k, of a subtree of height h = m - k, holds at each count v the
     fewest terms +-x summing to v, the x taken with repeats from the

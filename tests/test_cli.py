@@ -315,6 +315,27 @@ def test_delta_far_below_the_volumes_exits_2(capsys, strategy, delta):
     assert err.startswith(f"dichromat: capacity exceeded: {strategy} trace at m=3 needs up to inf")
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(sweepout.STRATEGIES),
+    m=st.sampled_from([3, 24]),
+    delta=st.floats(5e-324, 1e-6),
+)
+@example(strategy="uniform", m=3, delta=1e-300)
+@example(strategy="dfs-fill", m=24, delta=1e-300)
+@example(strategy="random-monotone", m=3, delta=1e-12)
+def test_trace_cap_refusal_is_one_short_line(strategy, m, delta):
+    # counts past 10**9 read to two digits, and past float64 as inf, so
+    # no size makes a long line; --delta 1e-300 once printed 1068 characters
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["sweepout", "--strategy", strategy, "-m", str(m), "--delta", repr(delta)])
+    assert code == 2
+    line, = err.getvalue().splitlines()
+    assert line.startswith(f"dichromat: capacity exceeded: {strategy} trace at m={m} needs up to ")
+    assert len(line) < 200, line
+
+
 def test_export_dot_frozen(capsys):
     code, out, _ = run(capsys, "export-dot", "-m", "2", "--witness", "t=1")
     assert code == 0
@@ -925,17 +946,18 @@ def test_sweepout_builds_no_leaf_profile(capsys, monkeypatch):
     assert calls == []
 
 
-def _python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+def _python(*args: str, timeout: float = 120, **extra_env: str) -> subprocess.CompletedProcess:
     # OpenBLAS reserves address space per thread; one thread keeps numpy's
     # import well inside the address-space limit used below
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     env.pop("DICHROMAT_MAX_M", None)
+    env.update(extra_env)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
-def _main_in_one_gib(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+def _main_in_one_gib(*argv: str, timeout: float = 120, **extra_env: str) -> subprocess.CompletedProcess:
     """cli.main(argv) in a child process under a 1 GiB address-space
     limit; the last stderr line is the seconds it took, import excluded."""
     script = (
@@ -948,7 +970,28 @@ def _main_in_one_gib(*argv: str, timeout: float = 120) -> subprocess.CompletedPr
         "print(f'{time.perf_counter() - start:.3f}', file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    return _python("-c", script, *argv, timeout=timeout)
+    return _python("-c", script, *argv, timeout=timeout, **extra_env)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("profile", "--kind", "leaf", "-m", "30"), "leaf_profile"),
+        (("export-dot", "-m", "25", "--witness", "b=1"), "node_profile"),
+        (("width-bound", "-m", "25"), "leaf_profile"),
+    ],
+    ids=["profile", "export-dot", "width-bound"],
+)
+def test_tree_cap_guards_profiles_past_a_lifted_cap(argv, what):
+    # DICHROMAT_MAX_M lifts the profile cap up to the tree cap, m = 24, and
+    # no further: the refusal comes before any row of 2**m entries, so a
+    # 1 GiB limit never shows as out of memory
+    proc = _main_in_one_gib(*argv, timeout=30, DICHROMAT_MAX_M="40")
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    message, seconds = proc.stderr.splitlines()
+    m = argv[argv.index("-m") + 1]
+    assert message == f"dichromat: capacity exceeded: {what} is capped at m=24, got m={m}"
+    assert float(seconds) < 2.0
 
 
 @pytest.mark.parametrize(

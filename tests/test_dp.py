@@ -2,6 +2,7 @@
 structural guarantees (witness validity, capacity limits, matching)."""
 
 import time
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -119,8 +120,9 @@ def test_profile_rows_mirror_two_color_oracle(build, m):
     # (0.7 s for the oracle at node m = 14)
     prof = build(m)
     want = profile_tables_two_color(m, prof.kind)
-    assert len(prof.witness_seed) == len(want) == m + 1
-    for row, table in zip(prof.witness_seed, want):
+    rows = dp._profile_tables(m, prof.kind)
+    assert len(rows) == len(want) == m + 1
+    for row, table in zip(rows, want):
         assert row.ndim == 1
         assert np.array_equal(row, table[0])
         assert np.array_equal(row[::-1], table[1])
@@ -131,9 +133,9 @@ def test_profile_rows_equal_signed_oracle():
     # by a BFS over sums, a route the four-term recurrence shares nothing
     # with, at every depth up to 16, both kinds (about 0.2 s)
     start = time.perf_counter()
-    for kind, build in (("node", node_profile), ("leaf", leaf_profile)):
+    for kind in ("node", "leaf"):
         for m in range(1, 17):
-            got = build(m, cap=16).witness_seed
+            got = dp._profile_tables(m, kind)
             want = profile_rows_signed(m, kind)
             assert len(got) == len(want) == m + 1
             for k, (row, expect) in enumerate(zip(got, want)):
@@ -156,7 +158,7 @@ def test_profile_rows_build_in_linear_time():
 @pytest.mark.parametrize("build", [node_profile, leaf_profile])
 def test_witness_equals_loop_oracle(build, m):
     prof = build(m)
-    seed = [np.stack([w, w[::-1]]) for w in prof.witness_seed]
+    seed = [np.stack([w, w[::-1]]) for w in dp._profile_tables(m, prof.kind)]
     for index in prof.index_range:
         want = witness_loop(seed, prof.kind, m, index)
         assert np.array_equal(witness(prof, index).bits, want), index
@@ -178,7 +180,7 @@ def test_witness_equals_loop_oracle(build, m):
 )
 def test_witness_equals_loop_oracle_m14(build, index):
     prof = build(14)
-    seed = [np.stack([w, w[::-1]]) for w in prof.witness_seed]
+    seed = [np.stack([w, w[::-1]]) for w in dp._profile_tables(14, prof.kind)]
     want = witness_loop(seed, prof.kind, 14, index)
     assert np.array_equal(witness(prof, index).bits, want)
 
@@ -255,7 +257,7 @@ def test_proof_coloring_attains_profile():
     for kind, profile, count in (("node", node_profile, 0), ("leaf", leaf_profile, 1)):
         for m in range(1, 13):
             prof = profile(m)
-            rows, tree = prof.witness_seed, build_tree(m)
+            rows, tree = dp._profile_tables(m, kind), build_tree(m)
             top = rows[0].size - 1
             for index, want in prof.items():
                 white = rows[0][index] == want
@@ -312,6 +314,20 @@ def test_profile_cap():
     node_profile(3, cap=3)
     with pytest.raises(CapacityError):
         node_profile(4, cap=3)
+
+
+@pytest.mark.parametrize("build", [node_profile, leaf_profile])
+def test_profile_cap_stops_at_the_tree_cap(build):
+    # a lifted cap reaches the tree cap, m = 24, and no further: m = 25
+    # is refused before any row is made (one node row alone is 512 MiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="capped at m=24, got m=25"):
+            build(25, cap=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
