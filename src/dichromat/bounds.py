@@ -17,6 +17,7 @@ from .errors import InvalidParameterError
 from .tree import check_depth, is_int
 
 VERIFY_KINDS = ("lemma22", "thm27", "lipschitz_node", "lipschitz_leaf", "cor25")
+_BOUNDED_BELOW = ("thm27", "cor25")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -106,6 +107,10 @@ def verify(m: int, which: str, cap: int | None = None) -> BoundReport:
         the triangle inequality.
       - ``cor25``: the node profile dominates d* - |b - b*| everywhere;
         reports the minimum margin (bound 0).
+
+    Each kind sets its quantity, bound and value, and one report is built
+    from them: ``thm27`` and ``cor25`` hold when the value reaches the
+    bound, the other kinds when it stays at or below it.
     """
     if which not in VERIFY_KINDS:
         raise InvalidParameterError(f"unknown verification {which!r}")
@@ -113,52 +118,27 @@ def verify(m: int, which: str, cap: int | None = None) -> BoundReport:
     if which == "lemma22":
         pairs_depth_limit(m, cap)  # refuses an oversized m before 2**(m+1) is formed
         sizes = feasible_pairs(m, lemma22_depth(m), cap)[:, 1:].sum(axis=1).tolist()
-        worst = 0.0
-        for d, size in enumerate(sizes):
-            worst = max(worst, size / lemma_cardinality_bound(m, d))
-        return BoundReport(
-            m=m,
-            quantity="max cardinality ratio |B_m(d)| / (2^d m^d)",
-            paper_bound=1.0,
-            computed_value=worst,
-            holds=worst <= 1.0,
-        )
-
-    if which == "thm27":
+        quantity = "max cardinality ratio |B_m(d)| / (2^d m^d)"
+        bound = 1.0
+        value = max(size / lemma_cardinality_bound(m, d) for d, size in enumerate(sizes))
+    elif which == "thm27":
         value = leaf_profile(m, cap=cap)[a_of_m(m)]
+        quantity = "leaf profile at a(m) vs ceil(m/2)"
         bound = theorem_leaf_bound(m)
-        return BoundReport(
-            m=m,
-            quantity="leaf profile at a(m) vs ceil(m/2)",
-            paper_bound=bound,
-            computed_value=value,
-            holds=value >= bound,
-        )
-
-    if which in ("lipschitz_node", "lipschitz_leaf"):
+    elif which == "cor25":
+        profile = node_profile(m, cap=cap)
+        b_star, d_star = profile.max_entry()
+        b_values = np.arange(profile.index_range.start, profile.index_range.stop)
+        quantity = "min margin of d'_m(b) over d* - |b - b*|"
+        bound = 0
+        value = int((profile.min_d - (d_star - np.abs(b_values - b_star))).min())
+    else:
         profile = (node_profile if which == "lipschitz_node" else leaf_profile)(
             m, cap=cap
         )
         steps = np.abs(np.diff(profile.min_d))
-        worst = int(steps.max()) if steps.size else 0
-        return BoundReport(
-            m=m,
-            quantity=f"max adjacent step of the {profile.kind} profile",
-            paper_bound=1,
-            computed_value=worst,
-            holds=worst <= 1,
-        )
-
-    # cor25
-    profile = node_profile(m, cap=cap)
-    b_star, d_star = profile.max_entry()
-    b_values = np.arange(profile.index_range.start, profile.index_range.stop)
-    margin = profile.min_d - (d_star - np.abs(b_values - b_star))
-    worst = int(margin.min())
-    return BoundReport(
-        m=m,
-        quantity="min margin of d'_m(b) over d* - |b - b*|",
-        paper_bound=0,
-        computed_value=worst,
-        holds=worst >= 0,
-    )
+        quantity = f"max adjacent step of the {profile.kind} profile"
+        bound = 1
+        value = int(steps.max()) if steps.size else 0
+    holds = value >= bound if which in _BOUNDED_BELOW else value <= bound
+    return BoundReport(m, quantity, bound, value, holds)

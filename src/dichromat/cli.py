@@ -33,6 +33,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -129,10 +130,6 @@ def _emit_json(payload: dict[str, Any]) -> None:
     _write_json(payload, out, "")
     out.append("\n")
     sys.stdout.write("".join(out))
-
-
-def _params_dict(params: metric.BlockParams) -> dict[str, Any]:
-    return {key: getattr(params, key) for key in metric.PARAM_KEYS}
 
 
 def _env_cap() -> int | None:
@@ -241,29 +238,15 @@ def _cmd_width(args: argparse.Namespace, cap: int | None) -> int:
             "leaf_value": leaf_value,
             "paper_bound": metric.paper_width_bound(args.m, params),
             "certified_bound": metric.certified_width_bound(leaf_value, params),
-            "params": _params_dict(params),
+            "params": asdict(params),
         }
     )
     return EXIT_OK
 
 
 def _cmd_iso(args: argparse.Namespace, cap: int | None) -> int:
-    params = _load_params(args.params)
-    query = metric.iso_profile_lower_bound(args.m, params, cap=cap)
-    _emit_json(
-        {
-            "command": "iso-bound",
-            "m": query.m,
-            "k": query.k,
-            "b_star": query.b_star,
-            "v_m": query.v_m,
-            "L_star": query.L_star,
-            "vacuous": query.vacuous,
-            "residual": query.residual,
-            "bracket_width": query.bracket_width,
-            "params": _params_dict(params),
-        }
-    )
+    query = metric.iso_profile_lower_bound(args.m, _load_params(args.params), cap=cap)
+    _emit_json({"command": "iso-bound", **asdict(query)})
     return EXIT_OK
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -282,7 +283,10 @@ def witness(profile: DpProfile, index: int) -> Coloring:
     right child, then the smallest left-subtree budget.  The coloring is
     rebuilt one depth at a time: the split is solved once per distinct
     (color, budget) state of the level, which the nodes share, then
-    scattered to the nodes.  It is re-verified against
+    scattered to the nodes.  A state's split is one argmax over its
+    boolean hits (children's total equals the state's optimum), laid out
+    in that tie-break order: the four child-color pairs, each over the
+    left budgets in ascending order.  It is re-verified against
     `count_dichromatic` before it is returned.
     """
     target = profile[index]
@@ -314,18 +318,17 @@ def witness(profile: DpProfile, index: int) -> Coloring:
             np.where(valid, child[cc][right_budget] + (cc != color)[:, None], np.inf)
             for cc in (WHITE, BLACK)
         ]
-        left_color = np.full(color.size, -1)
-        right_color = np.empty_like(left_color)
-        left_budget = np.empty_like(budget)
-        for c1 in (WHITE, BLACK):
-            for c2 in (WHITE, BLACK):
-                total = left[c1] + right[c2]
-                hit = (left_color < 0) & (total.min(axis=1) == need)
-                left_color[hit] = c1
-                right_color[hit] = c2
-                left_budget[hit] = total[hit].argmin(axis=1)
-        if (left_color < 0).any():
+        # per state, the first hit in tie-break order: the child colors
+        # (white, white), (white, black), (black, white), (black, black),
+        # then the least left budget
+        hits = np.stack([
+            left[c1] + right[c2] == need[:, None] for c1, c2 in product((WHITE, BLACK), repeat=2)
+        ], axis=1).reshape(color.size, -1)
+        first = hits.argmax(axis=1)
+        if not hits[np.arange(color.size), first].all():
             raise DichromatError("internal error: witness split not found")
+        combo, left_budget = np.divmod(first, width)
+        left_color, right_color = np.divmod(combo, 2)  # WHITE is 0, BLACK 1
         # child states in (state, side) order; node 2i + side takes the
         # child state of node i's state on that side
         sides = [left_budget * 2 + left_color, (rem - left_budget) * 2 + right_color]

@@ -22,6 +22,7 @@ alpha = (V0 - 3*mu)/5.  These are model choices, not derived quantities.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,10 +39,10 @@ from .tree import TreeShape, build_tree
 
 Number = Union[int, Fraction, float]
 
-PARAM_KEYS = ("V0", "mu", "tau", "alpha", "rel_isop_C", "iso_C", "C3")
-
 BISECTION_WIDTH = 1e-9
-BISECTION_MAX_ITER = 300
+# halvings that take any finite float64 bracket to adjacent floats: log2
+# of the float maximum over the least subnormal is 1024 + 1074 = 2098
+BISECTION_MAX_ITER = 2200
 
 
 def _is_rational(x: Number) -> bool:
@@ -113,9 +114,10 @@ class BlockParams:
         return all(_is_rational(getattr(self, k)) for k in PARAM_KEYS)
 
     def replace(self, **changes: Number) -> "BlockParams":
-        data = {k: getattr(self, k) for k in PARAM_KEYS}
-        data.update(changes)
-        return BlockParams(**data)
+        return dataclasses.replace(self, **changes)
+
+
+PARAM_KEYS = tuple(f.name for f in dataclasses.fields(BlockParams))
 
 
 @dataclass(frozen=True)
@@ -270,11 +272,13 @@ def iso_profile_lower_bound(
     1e-9 * max(1, C3*k).  The solve itself runs in float even for
     rational inputs.  Raises `InvalidParameterError` when a float the
     solve forms would overflow float64: v_m, C3, iso_C, the bracket top
-    C3 * k / 5, or (iso_C * top) ** 1.5, the largest power f takes.  It
-    raises the same when the bisection does not close within
-    `BISECTION_MAX_ITER` halvings.  Closing takes about log2(top / 1e-9)
-    of them, and more when the root lies far below the top: C3 = 1e100,
-    or iso_C = 1e200, at m = 3 need more than 300.
+    C3 * k / 5, or (iso_C * top) ** 1.5, the largest power f takes.
+    Closing takes about log2(top / 1e-9) halvings, and more when the root
+    lies far below the top: C3 = 1e100 at m = 3 takes 361 and iso_C =
+    1e200 takes 687.  `BISECTION_MAX_ITER` halvings take any finite
+    bracket to adjacent floats, so the solve raises the same error only
+    when the floats next to the root lie more than 1e-9 apart, as they do
+    from 2**23 (about 8.4e6) on: C3 = 1e8 with iso_C = 0 at m = 3.
     """
     b_star, k = best_black_count(m, cap=cap)
     try:
@@ -359,8 +363,7 @@ def load_params(path: str | Path) -> BlockParams:
     """Read ``key = value`` lines of UTF-8 text; keys are exactly the
     seven parameter names, '#' starts a comment, omitted keys fall back
     to the defaults."""
-    defaults = BlockParams.default()
-    values: dict[str, Number] = {k: getattr(defaults, k) for k in PARAM_KEYS}
+    values: dict[str, Number] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -380,4 +383,4 @@ def load_params(path: str | Path) -> BlockParams:
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(PARAM_KEYS)}"
             )
         values[key] = parse_param_value(value)
-    return BlockParams(**values)
+    return BlockParams.default().replace(**values)

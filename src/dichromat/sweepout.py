@@ -132,13 +132,15 @@ class SweepoutTrace:
     that is not 2-D with ``graph.entry_count`` columns.  Every other trace
     comes from the block constructor, `_from_blocks`: `trace_read_csv`
     hands it the table it parsed, as row blocks and without a copy, and
-    `generate_trace` makes every strategy's trace from its rule, block by
-    block, on each walk: the fills as their empty row and then event
-    blocks, uniform and random-monotone as row blocks, each a new array.
-    For those, ``steps`` builds the dense table on demand, one row per
-    step, refused past `TRACE_BYTES_CAP`.  No pass in the package reads
-    ``steps``, and none writes to the trace: what a consumer finds, such
-    as the special slice and its row, it returns.
+    keeps that read-only table as ``steps``; `generate_trace` makes every
+    strategy's trace from its rule, block by block, on each walk: the
+    fills as their empty row and then event blocks, uniform and
+    random-monotone as row blocks, each a new array.  For those,
+    ``steps`` builds the dense table on demand, one row per step, refused
+    past `TRACE_BYTES_CAP`.  ``row(t)`` refuses a step outside the trace
+    before it walks.  No pass in the package reads ``steps``, and none
+    writes to the trace: what a consumer finds, such as the special slice
+    and its row, it returns.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
@@ -201,12 +203,14 @@ class SweepoutTrace:
         """Row ``t``, a new read-only array from a new walk of the blocks."""
         if not is_int(t):
             raise InvalidParameterError(f"step must be an integer, got {t!r}")
+        if not 0 <= t < self.shape[0]:
+            raise InvalidParameterError(f"step {t} outside the trace")
         for start, cols, values, row in _walk(self):
-            if 0 <= t - start < len(values):
-                _to_step(row, cols, values, t - start)
-                row.flags.writeable = False
-                return row
-        raise InvalidParameterError(f"step {t} outside the trace")
+            if t - start < len(values):
+                break
+        _to_step(row, cols, values, t - start)
+        row.flags.writeable = False
+        return row
 
 
 def _walk(trace: SweepoutTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -302,13 +306,12 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
         inside &= values <= high
         if scratch.size < values.size:
             scratch = np.empty(values.size)
-        # row i holds the jump into step start + i; step 0 has none
+        # row i holds the jump into step start + i; step 0's, from the zero
+        # row before it, is at most tol once the check above has passed
         jumps = scratch[: values.size].reshape(values.shape)
         np.subtract(values[0], row, out=jumps[0])
         np.subtract(values[1:], values[:-1], out=jumps[1:])
         np.abs(jumps, out=jumps)
-        if not start:
-            jumps[0] = 0.0
         # NaN fails `inside`, so a block holding one is never skipped
         if inside.all() and jumps.max() <= jump_limit:
             continue
@@ -987,4 +990,6 @@ def trace_read_csv(
     steps.reshape(-1)[flat] = np.concatenate([np.empty(0), *values])
     steps.flags.writeable = False
     blocks = partial(_row_blocks, rows, entries, steps.__getitem__)
-    return SweepoutTrace._from_blocks(graph, step_bound, rows, blocks)
+    trace = SweepoutTrace._from_blocks(graph, step_bound, rows, blocks)
+    trace._steps = steps  # `steps` is the parsed table, and walks no block
+    return trace

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dichromat import (
@@ -10,7 +11,9 @@ from dichromat import (
     theorem_leaf_bound,
     verify,
 )
+from dichromat import bounds
 from dichromat.bounds import lemma22_depth
+from dichromat.dp import DpProfile
 
 A_VALUES = [1, 1, 3, 5, 11, 21, 43, 85, 171, 341, 683, 1365]
 
@@ -99,6 +102,49 @@ def test_verify_all_kinds_hold_small(which):
         report = verify(m, which)
         assert report.holds, (which, m, report)
         assert report.m == m
+
+
+def _profile(kind, values):
+    first = 1 if kind == "node" else 0
+    return DpProfile(3, kind, range(first, first + len(values)), np.array(values))
+
+
+# per kind, a stand-in for the solver it reads, with its value at the bound
+# and one past it on the failing side: thm27 and cor25 are bounded below,
+# lemma22 and the Lipschitz steps above
+DIRECTION_CASES = {
+    "thm27": ("leaf_profile", [
+        (_profile("leaf", [0, 1, 2, 2, 2, 1, 1, 1, 0]), 2, True),  # a(3) = 3, bound 2
+        (_profile("leaf", [0, 1, 1, 1, 1, 1, 1, 1, 0]), 1, False),
+    ]),
+    "cor25": ("node_profile", [
+        (_profile("node", [1, 2, 1]), 0, True),  # d* - |b - b*| = 1, 2, 1
+        (_profile("node", [0, 2, 1]), -1, False),
+    ]),
+    "lipschitz_node": ("node_profile", [
+        (_profile("node", [1, 2, 1]), 1, True),
+        (_profile("node", [1, 3, 1]), 2, False),
+    ]),
+    "lipschitz_leaf": ("leaf_profile", [
+        (_profile("leaf", [0, 1, 0]), 1, True),
+        (_profile("leaf", [0, 2, 0]), 2, False),
+    ]),
+    # rows d = 0, 1, 2 (lemma22_depth(3) = 2) over black counts 0, 1, 2;
+    # row 0's bound is 1
+    "lemma22": ("feasible_pairs", [
+        (np.array([[0, 1, 0], [0, 1, 1], [0, 0, 1]]), 1.0, True),
+        (np.array([[0, 1, 1], [0, 1, 1], [0, 0, 1]]), 2.0, False),
+    ]),
+}
+
+
+@pytest.mark.parametrize("which", VERIFY_KINDS)
+def test_verify_compares_in_each_kinds_direction(monkeypatch, which):
+    name, cases = DIRECTION_CASES[which]
+    for standin, value, holds in cases:
+        monkeypatch.setattr(bounds, name, lambda *args, **kwargs: standin)
+        report = verify(3, which)
+        assert (report.computed_value, report.holds) == (value, holds), report
 
 
 def test_verify_thm27_exact_values():

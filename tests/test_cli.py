@@ -221,8 +221,9 @@ def test_overflowing_volumes_refused(capsys, tmp_path, argv, message, params):
         assert err == f"dichromat: invalid input: {message}; use smaller volumes\n"
 
 
-# comparison constants the iso-bound bisection cannot carry in float64, or
-# cannot close on in its 300 halvings; each ended in a traceback
+# comparison constants the iso-bound bisection cannot carry in float64,
+# each refused, and constants whose root lies far below the bracket top,
+# each answered with its printed L_star; all ended in a traceback once
 LARGE_CONSTANTS = {
     "C3-float": ("C3 = 1e308", 1e308,
                  "the bracket top C3 * k / 5 at m = 3 overflows float64; use a smaller C3"),
@@ -230,10 +231,11 @@ LARGE_CONSTANTS = {
                     "float64; use a smaller iso_C or C3"),
     "C3-exact": (f"C3 = {10**400}", 10**400, "C3 overflows float64; use a smaller C3"),
     "iso_C-exact": (f"iso_C = {10**400}", 10**400, "iso_C overflows float64; use a smaller iso_C"),
-    "C3-far": ("C3 = 1e100", 1e100, "the bisection did not close in 300 halvings of "
-               "[0, 4e+99]; use a smaller C3 or iso_C"),
-    "iso_C-far": ("iso_C = 1e200", 1e200, "the bisection did not close in 300 halvings of "
-                  "[0, 0.4]; use a smaller C3 or iso_C"),
+    "C3-far": ("C3 = 1e100", 1e100, 11.3024774678),
+    "iso_C-far": ("iso_C = 1e200", 1e200, 1.13024774456e-199),
+    # a root past 2**23, where adjacent floats lie more than 1e-9 apart
+    "C3-wide": ("C3 = 1e8\niso_C = 0", 1e8, "the bisection did not close in 2200 halvings "
+                "of [0, 40000000.0]; use a smaller C3 or iso_C"),
 }
 
 
@@ -248,6 +250,11 @@ def test_large_comparison_constants(capsys, tmp_path, command, name):
     if command == "width-bound":  # it reads neither constant
         assert code == 0, err
         assert json.loads(out)["params"][key] == value
+    elif isinstance(message, float):
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["L_star"], doc["params"][key]) == (message, value)
+        assert 0 <= doc["bracket_width"] <= 1e-9
     else:
         assert (code, out) == (1, "")
         assert err == f"dichromat: invalid input: {message}\n"

@@ -526,6 +526,37 @@ def test_certify_walks_the_trace_twice(params):
         assert walks.call_count == 2
 
 
+def test_row_outside_the_trace_walks_nothing(params):
+    # a step outside the trace is refused before the blocks are walked;
+    # a step inside takes one walk
+    for trace in _traces_of_every_kind(params):
+        walks = mock.Mock(side_effect=trace.blocks)
+        trace.blocks = walks
+        for t in (-1, trace.shape[0], trace.shape[0] + 5):
+            with pytest.raises(InvalidParameterError, match=f"step {t} outside the trace"):
+                trace.row(t)
+        assert walks.call_count == 0
+        last = trace.row(trace.shape[0] - 1)
+        assert walks.call_count == 1
+        np.testing.assert_array_equal(last, trace.graph.capacities)
+
+
+def test_read_trace_steps_is_the_parsed_table(params):
+    # a CSV-read trace returns the table it parsed, read-only, and builds
+    # nothing from its blocks
+    for trace in _traces_of_every_kind(params):
+        buf = io.StringIO()
+        trace_write_csv(trace, buf)
+        buf.seek(0)
+        back = trace_read_csv(buf, trace.graph, trace.step_bound)
+        walks = mock.Mock(side_effect=back.blocks)
+        back.blocks = walks
+        steps = back.steps
+        assert walks.call_count == 0
+        assert steps is back.steps and not steps.flags.writeable
+        assert steps.tobytes() == trace.steps.tobytes()
+
+
 class TestCsvRoundTrip:
     def test_file_roundtrip(self, tmp_path, params):
         trace = generate_trace("dfs-fill", 2, params)
