@@ -40,9 +40,6 @@ from .tree import TreeShape, build_tree
 Number = Union[int, Fraction, float]
 
 BISECTION_WIDTH = 1e-9
-# halvings that take any finite float64 bracket to adjacent floats: log2
-# of the float maximum over the least subnormal is 1024 + 1074 = 2098
-BISECTION_MAX_ITER = 2200
 
 
 def _is_rational(x: Number) -> bool:
@@ -275,10 +272,14 @@ def iso_profile_lower_bound(
     C3 * k / 5, or (iso_C * top) ** 1.5, the largest power f takes.
     Closing takes about log2(top / 1e-9) halvings, and more when the root
     lies far below the top: C3 = 1e100 at m = 3 takes 361 and iso_C =
-    1e200 takes 687.  `BISECTION_MAX_ITER` halvings take any finite
-    bracket to adjacent floats, so the solve raises the same error only
-    when the floats next to the root lie more than 1e-9 apart, as they do
-    from 2**23 (about 8.4e6) on: C3 = 1e8 with iso_C = 0 at m = 3.
+    1e200 takes 687.  From 2**23 (about 8.4e6) on, the floats next to the
+    root lie more than 1e-9 apart, so the bracket cannot close: there the
+    bisection stops once a halving moves neither end, as ``mid`` rounds to
+    ``lo`` or ``hi``, and answers with that bracket one float wide, its
+    ``bracket_width`` above 1e-9 (C3 = 1e8 with iso_C = 0 at m = 3).
+    Each halving moves an end inward or stops, and at most about 2100
+    halvings take any finite float64 bracket to adjacent floats, so the
+    loop ends.
     """
     b_star, k = best_black_count(m, cap=cap)
     try:
@@ -313,20 +314,15 @@ def iso_profile_lower_bound(
     # f_lo stays >= 0, as lo only moves to a point with f >= 0
     vacuous = f_lo <= 0
     lo, hi = 0.0, 0.0 if vacuous else top
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_WIDTH and f_lo <= ftol:
-            break
+    while not (hi - lo <= BISECTION_WIDTH and f_lo <= ftol):
         mid = (lo + hi) / 2
         fm = f(mid)
+        if mid == (lo if fm >= 0 else hi):
+            break  # the halving would move no end: lo and hi are adjacent floats
         if fm >= 0:
             lo, f_lo = mid, fm
         else:
             hi = mid
-    else:
-        raise InvalidParameterError(
-            f"the bisection did not close in {BISECTION_MAX_ITER} halvings of [0, {top!r}]; "
-            "use a smaller C3 or iso_C"
-        )
 
     return IsoQuery(
         m=m,

@@ -19,18 +19,21 @@ time, so after their empty first row they are event blocks of up to
 `_BLOCK_CELLS` steps, built by array arithmetic.  Uniform and
 random-monotone are row blocks of about `_BLOCK_CELLS` cells, remade on
 every walk: uniform from its grid of fractions, random-monotone replayed
-from its seed.  No generated trace holds, and no consumer builds, the
-dense steps x entries table: validation, the special slice, the coloring,
-the certificate and the CSV writer each make one pass, branch once per
-block on its shape, and keep O(entries) state, the current row.  A trace
-holds no consumer's state: the walk that finds the special slice returns
-its row, and `certify` hands that row on to the coloring and the
-sandwich check.
+from its seed up to its first full row, so that trace learns its row
+count from the first walk that runs to the end.  No generated trace
+holds, and no consumer builds, the dense steps x entries table:
+validation, the special slice, the coloring, the certificate and the CSV
+writer each make one pass, branch once per block on its shape, and keep
+O(entries) state, the current row.  A trace holds no consumer's state:
+the walk that finds the special slice returns a copy of its row, and
+`certify` hands that row on to the coloring and the sandwich check.
 
-`certify` is the one path from a trace to a certificate: it validates
-the trace first, so a trace that is no sweepout gets no certificate, and
-it re-checks every claimed volume sandwich directly against the trace
-numbers; nothing is trusted from the coloring step.
+`certify` is the one path from a trace to a certificate.  One walk
+validates the trace to its last row and finds the special slice on the
+way, so a trace that is no sweepout gets no certificate and a
+random-monotone trace is replayed once; it re-checks every claimed
+volume sandwich directly against the trace numbers, and nothing is
+trusted from the coloring step.
 """
 
 from __future__ import annotations
@@ -71,7 +74,10 @@ STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 # No generated trace holds those cells at once, so the cap bounds the
 # work of a pass and the table `steps` builds.  Random-monotone's memory
 # no longer grows with its rows, but its cap stays where its dense table
-# put it until a measurement moves it.
+# put it until a measurement moves it.  A `sweepout` call replays its rows
+# once; with the default parameters that pass took a median 0.070 s at
+# m = 16 (47 rows) and 0.109 s at m = 17 (48 rows), the first walk of a
+# fresh trace in a fresh process on a 2-vCPU Xeon
 TRACE_BYTES_CAP = 512 * 2**20
 
 # cells of a row block, or steps of an event block; a block of one row may
@@ -137,10 +143,16 @@ class SweepoutTrace:
     fills as their empty row and then event blocks, uniform and
     random-monotone as row blocks, each a new array.  For those,
     ``steps`` builds the dense table on demand, one row per step, refused
-    past `TRACE_BYTES_CAP`.  ``row(t)`` refuses a step outside the trace
-    before it walks.  No pass in the package reads ``steps``, and none
-    writes to the trace: what a consumer finds, such as the special slice
-    and its row, it returns.
+    past `TRACE_BYTES_CAP`.
+
+    A random-monotone trace ends where its replay does, so it starts
+    without a row count; the first walk of its blocks that runs to the
+    end sets it, and that is the one thing a trace writes to itself.
+    ``shape``, ``row(t)`` and ``steps`` asked for before then cost one
+    counting walk.  ``row(t)`` refuses a step outside the trace before it
+    walks for the row.  No pass in the package reads ``steps``, and no
+    consumer writes to the trace: what a consumer finds, such as the
+    special slice and its row, it returns.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
@@ -156,7 +168,7 @@ class SweepoutTrace:
 
     @classmethod
     def _from_blocks(
-        cls, graph: RegionGraph, step_bound: float, rows: int,
+        cls, graph: RegionGraph, step_bound: float, rows: int | None,
         blocks: Callable[[], Iterator[Block]],
     ) -> SweepoutTrace:
         trace = cls.__new__(cls)
@@ -170,9 +182,27 @@ class SweepoutTrace:
             )
         self.graph = graph
         self.step_bound = step_bound
-        self.shape = (rows, graph.entry_count)
-        self.blocks: Callable[[], Iterator[Block]] = blocks  # a new walk per call
+        self._rows: int | None = rows  # None until a walk runs to the end
+        self._blocks: Callable[[], Iterator[Block]] = blocks
         self._steps: np.ndarray | None = None
+
+    def blocks(self) -> Iterator[Block]:
+        """A new walk of the blocks; one that runs to the end gives the
+        trace its row count if it had none."""
+        rows = 0
+        for block in self._blocks():
+            yield block
+            rows = block[0] + len(block[2])
+        if self._rows is None:
+            self._rows = rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(steps, entries); a trace without its row count walks once."""
+        if self._rows is None:
+            for _ in self.blocks():
+                pass
+        return self._rows, self.graph.entry_count
 
     @property
     def steps(self) -> np.ndarray:
@@ -274,53 +304,15 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     Reports the first violating step; comparisons use a relative
     tolerance so float-built traces do not trip on rounding dust.  A
     non-finite volume is an entry outside [0, capacity].  At one
-    step the checks rank in the order listed.  One pass over the blocks,
-    each checked on its own against the row before it: a row block row
-    by row, an event block by its values, each against its column's
-    capacity and its column's previous value, since the other columns
-    of that step do not move.
+    step the checks rank in the order listed.  One walk over the blocks
+    (`_scan`), each checked on its own against the row before it: a row
+    block row by row, an event block by its values, each against its
+    column's capacity and its column's previous value, since the other
+    columns of that step do not move.  The row count is the walk's own;
+    a trace that already knows it has fewer than two rows is reported so,
+    whatever its rows hold.
     """
-    if trace.shape[0] < 2:
-        return ValidationReport(
-            False, f"expected shape (>=2, {trace.graph.entry_count}), got {trace.shape}", None
-        )
-    caps = trace.graph.capacities
-    tol = _REL_TOL * max(1.0, float(caps.max()))
-    high = caps + tol
-    jump_limit = trace.step_bound + tol
-    too_far = f"step exceeds bound {trace.step_bound}"
-    scratch = np.empty(0)  # a block's step differences
-    # a violation found in one block precedes everything in later blocks
-    for start, cols, values, row in _walk(trace):
-        if values.ndim == 1:
-            # the first block is a row block, so an event has a step before it
-            outside = ~((values >= -tol) & (values <= high[cols]))
-            fail = outside | (np.abs(values - _previous(cols, values, row)) > jump_limit)
-            if fail.any():
-                i = int(np.argmax(fail))
-                return ValidationReport(False, _OUTSIDE if outside[i] else too_far, start + i)
-            continue
-        if start == 0 and np.abs(values[0]).max() > tol:
-            return ValidationReport(False, "first step is not the empty vector", 0)
-        inside = values >= -tol
-        inside &= values <= high
-        if scratch.size < values.size:
-            scratch = np.empty(values.size)
-        # row i holds the jump into step start + i; step 0's, from the zero
-        # row before it, is at most tol once the check above has passed
-        jumps = scratch[: values.size].reshape(values.shape)
-        np.subtract(values[0], row, out=jumps[0])
-        np.subtract(values[1:], values[:-1], out=jumps[1:])
-        np.abs(jumps, out=jumps)
-        # NaN fails `inside`, so a block holding one is never skipped
-        if inside.all() and jumps.max() <= jump_limit:
-            continue
-        outside = ~inside.all(axis=1)
-        i = int(np.argmax(outside | (jumps.max(axis=1) > jump_limit)))
-        return ValidationReport(False, _OUTSIDE if outside[i] else too_far, start + i)
-    if np.abs(row - caps).max() > tol:
-        return ValidationReport(False, "last step is not the full vector", trace.shape[0] - 1)
-    return ValidationReport(True)
+    return _scan(trace)[0]
 
 
 def find_special_slice(trace: SweepoutTrace, a: int) -> int:
@@ -330,24 +322,84 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     ``a - 1`` leaves may exceed alpha by more than one step bound.  For a
     valid trace this always holds (one step earlier, fewer than ``a``
     leaves had reached alpha); a violation therefore means the trace
-    breaks its own declared step bound.
+    breaks its own declared step bound.  The trace is not validated, and
+    the walk stops at that step.
     """
-    return _special_slice(trace, a)[0]
+    return _scan(trace, a, validate=False)[1]
 
 
-def _special_slice(trace: SweepoutTrace, a: int) -> tuple[int, np.ndarray]:
-    """`find_special_slice`'s step and its row, read-only.  One pass over
-    the blocks up to that step, with a running count of leaves at or
-    above alpha, which a leaf event moves by at most one."""
-    leaf_count = trace.graph.tree.leaf_count
-    if not is_int(a) or not 1 <= a <= leaf_count:
-        raise InvalidParameterError(f"a must lie in 1..{leaf_count}, got {a!r}")
+def _scan(
+    trace: SweepoutTrace, a: int | None = None, validate: bool = True
+) -> tuple[ValidationReport, int | None, np.ndarray | None]:
+    """One walk over the blocks that validates the trace, finds the
+    special slice of ``a`` leaves, or both, and returns the report, the
+    slice's step and a read-only copy of its row (None without ``a``).
+
+    Validating, the walk runs to the last row, or stops at the first
+    failed check, and a failed report is returned before any slice error
+    is raised; otherwise it stops at the slice.  The slice is found with
+    a running count of leaves at or above alpha, which a leaf event moves
+    by at most one.  With the slice found, "no step reaches the
+    threshold" and then an `AdmissibilityError` are raised as
+    `find_special_slice` describes.
+    """
+    if a is not None:
+        leaf_count = trace.graph.tree.leaf_count
+        if not is_int(a) or not 1 <= a <= leaf_count:
+            raise InvalidParameterError(f"a must lie in 1..{leaf_count}, got {a!r}")
     alpha = float(trace.graph.params.alpha)
     leaves = trace.graph.leaf_cols
-    count = 0
+    caps = trace.graph.capacities
+    tol = _REL_TOL * max(1.0, float(caps.max()))
+    high = caps + tol
+    jump_limit = trace.step_bound + tol
+    too_far = f"step exceeds bound {trace.step_bound}"
+    scratch = np.empty(0)  # a row block's step differences
+
+    def fault(start, cols, values, row) -> tuple[str, int] | None:
+        """The first failed check of a block against ``row``, the row
+        before it, as (message, step), or None."""
+        nonlocal scratch
+        if values.ndim == 1:
+            # the first block is a row block, so an event has a step before it
+            outside = ~((values >= -tol) & (values <= high[cols]))
+            fail = outside | (np.abs(values - _previous(cols, values, row)) > jump_limit)
+        else:
+            if start == 0 and np.abs(values[0]).max() > tol:
+                return "first step is not the empty vector", 0
+            inside = values >= -tol
+            inside &= values <= high
+            if scratch.size < values.size:
+                scratch = np.empty(values.size)
+            # row i holds the jump into step start + i; step 0's, from the
+            # zero row before it, is at most tol once the check above passed
+            jumps = scratch[: values.size].reshape(values.shape)
+            np.subtract(values[0], row, out=jumps[0])
+            np.subtract(values[1:], values[:-1], out=jumps[1:])
+            np.abs(jumps, out=jumps)
+            # NaN fails `inside`, so a block holding one is never skipped
+            if inside.all() and jumps.max() <= jump_limit:
+                return None
+            outside = ~inside.all(axis=1)
+            fail = outside | (jumps.max(axis=1) > jump_limit)
+        i = int(np.argmax(fail))
+        return (_OUTSIDE if outside[i] else too_far, start + i) if fail[i] else None
+
+    # a trace known to have fewer than two rows is reported as such, so
+    # its blocks go unchecked
+    check = validate and (trace._rows is None or trace._rows >= 2)
+    count, t0, hit, rows = 0, None, None, 0
+    # a violation found in one block precedes everything in later blocks
     for start, cols, values, row in _walk(trace):
+        rows = start + len(values)
+        found = check and fault(start, cols, values, row)
+        if found:
+            return ValidationReport(False, *found), None, None
+        if a is None or t0 is not None:
+            continue
         if values.ndim == 2:
             counts = (values[:, leaves] >= alpha).sum(axis=1)
+            at = np.arange(len(values))
         else:
             at = np.flatnonzero((cols >= leaves.start) & (cols < leaves.stop))
             if not at.size:
@@ -356,24 +408,32 @@ def _special_slice(trace: SweepoutTrace, a: int) -> tuple[int, np.ndarray]:
             reached -= _previous(cols[at], values[at], row) >= alpha
             counts = count + np.cumsum(reached)
         hits = np.flatnonzero(counts >= a)
-        if hits.size:
-            i = int(hits[0] if values.ndim == 2 else at[hits[0]])
-            t0 = start + i
-            _to_step(row, cols, values, i)
-            break
         count = int(counts[-1])
-    else:
+        if hits.size:
+            t0 = start + int(at[hits[0]])
+            hit = row.copy()
+            _to_step(hit, cols, values, t0 - start)
+            if not validate:
+                break
+    if validate and rows < 2:
+        n = trace.graph.entry_count
+        return ValidationReport(False, f"expected shape (>=2, {n}), got {trace.shape}"), None, None
+    if validate and np.abs(row - caps).max() > tol:
+        return ValidationReport(False, "last step is not the full vector", rows - 1), None, None
+    if a is None:
+        return ValidationReport(True), None, None
+    if t0 is None:
         raise TraceError("no step reaches the threshold on enough leaves; "
                          "is the trace complete?")
-    strict = int((row[leaves] > alpha + trace.step_bound).sum())
+    strict = int((hit[leaves] > alpha + trace.step_bound).sum())
     if strict > a - 1:
         raise AdmissibilityError(
             f"{strict} leaves already exceed alpha + step_bound at step {t0}; "
             "regenerate the trace with a finer step_bound "
             "(delta <= alpha/4 is always safe)"
         )
-    row.flags.writeable = False
-    return t0, row
+    hit.flags.writeable = False
+    return ValidationReport(True), t0, hit
 
 
 def induce_coloring(trace: SweepoutTrace, t0: int, a: int) -> Coloring:
@@ -447,20 +507,20 @@ def certify(trace: SweepoutTrace) -> SliceCertificate:
 
     The width bound holds only for a valid sweepout, so a trace that
     fails `validate_trace` raises `TraceError` naming the failed check
-    and its step.  alpha and rel_isop_C are read from the parameters the
-    trace's region graph was built with.  The slice's row is read once,
-    by the walk that finds the slice; each candidate pair is re-checked
-    numerically against that row, independently of how the coloring was
-    derived.
+    and its step, before any error of the slice.  alpha and rel_isop_C
+    are read from the parameters the trace's region graph was built
+    with.  One walk (`_scan`) validates the trace to its last row and
+    copies the slice's row on the way; the coloring and each candidate
+    pair are read from that row, each pair re-checked numerically against
+    it, independently of how the coloring was derived.
     """
-    report = validate_trace(trace)
-    if not report.ok:
-        at = "" if report.step is None else f" at step {report.step}"
-        raise TraceError(f"trace failed validation{at}: {report.message}")
     graph = trace.graph
     params = graph.params
     a = a_of_m(graph.tree.m)
-    t0, row = _special_slice(trace, a)
+    report, t0, row = _scan(trace, a)
+    if not report.ok:
+        at = "" if report.step is None else f" at step {report.step}"
+        raise TraceError(f"trace failed validation{at}: {report.message}")
     coloring = _coloring(trace, t0, row, a)
 
     alpha = float(params.alpha)
@@ -592,43 +652,32 @@ def _monotone_step(
     return lo + int(below.argmax()), hi - int(below[::-1].argmax())
 
 
-def _monotone_rows(caps: np.ndarray, delta: float, seed: int) -> Callable[[np.ndarray], bool]:
-    """A writer of random-monotone's rows in order, replayed from
-    ``seed``: each call writes the next row into the buffer it is given,
-    the empty row first and then one `_monotone_step` a row, and returns
-    whether an entry of that row is still below its cap.  The next step
-    reads that buffer, so it must hold the row until the next call."""
+def _monotone_blocks(graph: RegionGraph, delta: float, seed: int, bound: int) -> Iterator[Block]:
+    """Random-monotone's rows, replayed from ``seed`` as row blocks of
+    `_BLOCK_CELLS` cells, each row written straight into a new read-only
+    block: the empty row, then one `_monotone_step` a row.  The walk ends
+    at the first row with no entry below its cap, or at row ``bound``,
+    the `_trace_rows` bound, whichever comes first."""
+    caps = graph.capacities
     rng = np.random.default_rng(seed)
+    cols = np.arange(caps.size)
+    size = max(1, _BLOCK_CELLS // caps.size)
     row = None  # the row last written, once there is one
     lo, hi = 0, caps.size  # the span of its entries below their cap
-
-    def write(out: np.ndarray) -> bool:
-        nonlocal row, lo, hi
-        if row is None:
-            out.fill(0.0)
-        else:
-            lo, hi = _monotone_step(rng, row, caps, delta, out, lo, hi)
-        row = out
-        return lo < hi
-
-    return write
-
-
-def _monotone_blocks(graph: RegionGraph, delta: float, seed: int, rows: int) -> Iterator[Block]:
-    """The ``rows`` rows of random-monotone, replayed from ``seed`` by
-    `_monotone_rows` as row blocks, each row written straight into a new
-    read-only block."""
-    caps = graph.capacities
-    write = _monotone_rows(caps, delta, seed)
-
-    def take(at: slice) -> np.ndarray:
-        block = np.empty((len(range(rows)[at]), caps.size))
-        for out in block:
-            write(out)
+    start = 0
+    while lo < hi and start < bound:
+        block = np.empty((min(size, bound - start), caps.size))
+        n = 0
+        while lo < hi and n < len(block):
+            if row is None:
+                block[n] = 0.0
+            else:
+                lo, hi = _monotone_step(rng, row, caps, delta, block[n], lo, hi)
+            row = block[n]
+            n += 1
         block.flags.writeable = False
-        return block
-
-    return _row_blocks(rows, caps.size, take)
+        yield start, cols, block[:n]
+        start += n
 
 
 def _size(n: int | float, unit: int = 1) -> str:
@@ -679,16 +728,18 @@ def generate_trace(
     ``seed``, an integer or None, only affects ``random-monotone``, where
     it must be >= 0 (`InvalidParameterError` otherwise, before any
     per-entry array); for a fixed seed the trace is bit-for-bit
-    reproducible, and no seed means seed 0.  Raises `CapacityError` before any per-entry array exists
-    when the cells one pass over the trace reads, `_trace_cells` of
-    `_trace_rows` rows counted from the four volume classes, would exceed
-    `TRACE_BYTES_CAP`, or when a volume / delta overflows float64.  A
-    fill whose k * volume overflows float64 raises `InvalidParameterError`,
-    also before any per-entry array.  Every trace is made block by block
-    as it is read.  Random-monotone's row count is found here, by one
-    replay from the seed that keeps the current row; each walk replays
-    the rows again, the same float operations in the same order, so they
-    are bit for bit the rows a dense table held.
+    reproducible, and no seed means seed 0.  Raises `CapacityError`
+    before any per-entry array exists when the cells one pass over the
+    trace reads, `_trace_cells` of `_trace_rows` rows counted from the
+    four volume classes, would exceed `TRACE_BYTES_CAP`, or when a volume
+    / delta overflows float64.  A fill whose k * volume overflows float64
+    raises `InvalidParameterError`, also before any per-entry array.
+    Every trace is made block by block as it is read, and nothing is
+    replayed here: each walk of a random-monotone trace replays its rows
+    from the seed, the same float operations in the same order, so they
+    are bit for bit the rows a dense table held, and ends where the rows
+    do, at the first full row or at the `_trace_rows` bound.  The trace
+    learns its row count from the first walk that runs to the end.
     """
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
@@ -724,28 +775,16 @@ def generate_trace(
                     f"{strategy} forms {k} * {float(volume)!r}, which overflows float64; "
                     "use smaller volumes or a larger delta"
                 )
-    caps = graph.capacities
-
     if strategy == "uniform":
-        fractions = np.linspace(0.0, 1.0, rows)
+        fractions, caps = np.linspace(0.0, 1.0, rows), graph.capacities
         blocks = partial(_row_blocks, rows, caps.size, lambda at: fractions[at, None] * caps)
-        return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
-    if strategy != "random-monotone":
+    elif strategy == "random-monotone":
+        blocks = partial(_monotone_blocks, graph, delta, 0 if seed is None else seed, rows)
+        rows = None  # the walk ends where the replay does
+    else:
         order = _postorder_cols if strategy == "dfs-fill" else _bfs_cols
         blocks = partial(_fill_blocks, graph, order, parts)
-        return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
-
-    # count the rows by one replay that keeps the current row in one of
-    # two buffers; below is any(row < caps) of the last row written
-    seed = 0 if seed is None else seed
-    write = _monotone_rows(caps, delta, seed)
-    pair = np.empty((2, caps.size))
-    last, below = 0, write(pair[0])
-    while last + 1 < rows and below:
-        last += 1
-        below = write(pair[last % 2])
-    blocks = partial(_monotone_blocks, graph, delta, seed, last + 1)
-    return SweepoutTrace._from_blocks(graph, delta, last + 1, blocks)
+    return SweepoutTrace._from_blocks(graph, delta, rows, blocks)
 
 
 # ---------------------------------------------------------------------------

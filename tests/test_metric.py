@@ -220,6 +220,19 @@ class TestIsoBound:
         want = float(p.C3) * (k - offset / denom) / 5
         assert q.L_star == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_root_past_float_spacing_answers_one_float_wide(self, default_params, m):
+        # from 2**23 on, floats next to the root lie more than 1e-9 apart:
+        # the bisection stops at adjacent floats with f >= 0 at the kept end
+        p = default_params.replace(C3=1e8, iso_C=0)
+        q = iso_profile_lower_bound(m, p)
+        assert q.L_star > 2**23 and not q.vacuous
+        assert q.L_star + q.bracket_width == math.nextafter(q.L_star, math.inf)
+        assert q.residual >= 0
+        offset = abs(float(p.tau) - 2 * float(p.mu))
+        want = 1e8 * (q.k - offset / float(p.V0 + p.tau - 2 * p.mu)) / 5
+        assert q.L_star <= want < q.L_star + 2 * q.bracket_width
+
     def test_monotone_in_m(self, default_params):
         prev = 0.0
         for m in range(2, 8):

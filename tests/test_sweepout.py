@@ -1,4 +1,5 @@
 import io
+import json
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,7 @@ from dichromat import (
     validate_trace,
     width_lower_bound,
 )
-from dichromat import sweepout
+from dichromat import cli, sweepout
 from dichromat.tree import EdgeSet, build_tree, max_matching
 from conftest import (
     capacities_of,
@@ -43,7 +44,8 @@ from conftest import (
     validate_trace_dense,
 )
 
-WIDE = load_params(Path(__file__).resolve().parents[1] / "perfbench" / "params" / "wide.params")
+WIDE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "params" / "wide.params"
+WIDE = load_params(WIDE_PATH)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,22 @@ def test_random_monotone_replays_without_the_table():
     first, again = next(trace.blocks())[2], next(trace.blocks())[2]
     assert first.tobytes() == again.tobytes()
     assert not np.shares_memory(first, again) and not first.flags.writeable
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 64])
+@pytest.mark.parametrize("bound", [1, 2, 5, 7])
+def test_monotone_walk_stops_at_its_row_bound(monkeypatch, params, bound, block_rows):
+    # the `_trace_rows` bound ends the replay even while entries are below
+    # their cap: the walk is the dense table's first `bound` rows
+    graph = region_graph(3, params)
+    delta = float(params.alpha) / 4
+    monkeypatch.setattr(sweepout, "_BLOCK_CELLS", block_rows * graph.entry_count)
+    blocks = list(sweepout._monotone_blocks(graph, delta, 4, bound))
+    expect = trace_table_dense("random-monotone", graph, delta, 4)
+    assert len(expect) > bound and [start for start, _, _ in blocks] == list(
+        range(0, bound, block_rows)
+    )
+    assert np.concatenate([v for _, _, v in blocks]).tobytes() == expect[:bound].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**63 + 5])
@@ -231,10 +249,12 @@ def test_dense_trace_copies_the_callers_table(params):
     assert not trace.steps.flags.writeable
 
 
+@pytest.mark.parametrize("fill", [0.0, 1e9])
 @pytest.mark.parametrize("rows", [0, 1])
-def test_validate_reports_fewer_than_two_rows(rows, params):
+def test_validate_reports_fewer_than_two_rows(rows, fill, params):
+    # the row count ranks before any check of the rows
     graph = region_graph(2, params)
-    trace = SweepoutTrace(graph=graph, steps=np.zeros((rows, 13)), step_bound=1.0)
+    trace = SweepoutTrace(graph=graph, steps=np.full((rows, 13), fill), step_bound=1.0)
     report = validate_trace(trace)
     expect = (False, f"expected shape (>=2, 13), got ({rows}, 13)", None)
     assert (report.ok, report.message, report.step) == expect == validate_trace_dense(trace)
@@ -498,10 +518,12 @@ def _traces_of_every_kind(params):
 
 
 def test_consumers_leave_the_trace_as_it_was(params):
-    # no consumer keeps state in the trace: every attribute is the same
-    # object after each of them, and each row asked for is a new array
+    # no consumer keeps state in the trace: once its row count is known,
+    # every attribute is the same object after each of them, and each row
+    # asked for is a new array
     a = a_of_m(3)
     for trace in _traces_of_every_kind(params):
+        trace.shape
         before = dict(vars(trace))
         assert validate_trace(trace).ok
         t0 = find_special_slice(trace, a)
@@ -516,27 +538,96 @@ def test_consumers_leave_the_trace_as_it_was(params):
         assert first.tobytes() == again.tobytes() == trace.steps[t0].tobytes()
 
 
-def test_certify_walks_the_trace_twice(params):
-    # one walk validates, one finds the slice and hands its row on: the
-    # coloring and the sandwich check walk nothing
+@pytest.mark.parametrize("seed", [0, 2, 11])
+def test_first_full_walk_sets_only_the_row_count(params, seed):
+    # a fresh random-monotone trace does not know its rows; a walk that
+    # stops early leaves it as it was, and the first walk to the end sets
+    # the row count alone, to the dense oracle's
+    trace = generate_trace("random-monotone", 3, params, seed=seed)
+    before = dict(vars(trace))
+    assert before["_rows"] is None
+    next(trace.blocks())
+    assert vars(trace) == before
+    for _ in trace.blocks():
+        pass
+    after = dict(vars(trace))
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == ["_rows"]
+    expect = trace_table_dense("random-monotone", trace.graph, trace.step_bound, seed)
+    assert after["_rows"] == len(expect)
+
+
+def test_certify_walks_the_trace_once(params):
+    # one walk validates to the last row and copies the slice's row on the
+    # way: the coloring and the sandwich check walk nothing
     for trace in _traces_of_every_kind(params):
         walks = mock.Mock(side_effect=trace.blocks)
         trace.blocks = walks
         certify(trace)
-        assert walks.call_count == 2
+        assert walks.call_count == 1
+
+
+@pytest.mark.parametrize("m, wide, seed", [(2, False, 0), (5, True, 3), (9, False, 1), (10, True, 7)])
+def test_sweepout_call_replays_each_row_once(capsys, m, wide, seed):
+    # generating a random-monotone trace replays nothing; certifying it and
+    # printing its step count take one step a row after the empty first
+    argv = ["sweepout", "--strategy", "random-monotone", "-m", str(m), "--seed", str(seed)]
+    if wide:
+        argv += ["--params", str(WIDE_PATH)]
+    steps = mock.Mock(wraps=sweepout._monotone_step)
+    with mock.patch.object(sweepout, "_monotone_step", steps):
+        trace = generate_trace("random-monotone", m, WIDE if wide else BlockParams.default(),
+                               seed=seed)
+        assert steps.call_count == 0
+        certify(trace)
+        rows = trace.shape[0]
+        assert steps.call_count == rows - 1
+        steps.reset_mock()
+        assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == rows
+    assert steps.call_count == rows - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    rational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 0.25, 0.37, 1.0, 2.5]),
+)
+@example(m=8, rational=False, seed=0, scale=0.25)
+@example(m=4, rational=True, seed=5, scale=2.5)
+def test_random_monotone_shape_equals_dense_rows(m, rational, seed, scale):
+    # the trace ends where its replay does: a fresh trace's shape costs one
+    # walk and reads the dense oracle's row count
+    rng = np.random.default_rng(seed)
+    params = (random_rational_params if rational else _random_float_params)(rng)
+    delta = float(params.alpha) * scale
+    graph = region_graph(m, params)
+    trace = generate_trace("random-monotone", m, params, delta=delta, seed=seed)
+    walks = mock.Mock(side_effect=trace.blocks)
+    trace.blocks = walks
+    expect = trace_table_dense("random-monotone", graph, delta, seed)
+    assert trace.shape == expect.shape
+    assert walks.call_count == 1
 
 
 def test_row_outside_the_trace_walks_nothing(params):
     # a step outside the trace is refused before the blocks are walked;
-    # a step inside takes one walk
-    for trace in _traces_of_every_kind(params):
+    # a step inside takes one walk, and so does the row count of a fresh
+    # random-monotone trace
+    kinds = [*STRATEGIES, "dense", "csv"]
+    for kind, trace in zip(kinds, _traces_of_every_kind(params), strict=True):
         walks = mock.Mock(side_effect=trace.blocks)
         trace.blocks = walks
-        for t in (-1, trace.shape[0], trace.shape[0] + 5):
+        rows = trace.shape[0]
+        assert walks.call_count == (kind == "random-monotone")
+        walks.reset_mock()
+        for t in (-1, rows, rows + 5):
             with pytest.raises(InvalidParameterError, match=f"step {t} outside the trace"):
                 trace.row(t)
         assert walks.call_count == 0
-        last = trace.row(trace.shape[0] - 1)
+        last = trace.row(rows - 1)
         assert walks.call_count == 1
         np.testing.assert_array_equal(last, trace.graph.capacities)
 
@@ -620,6 +711,36 @@ def _reports_agree(trace):
     report = validate_trace(trace)
     assert (report.ok, report.message, report.step) == validate_trace_dense(trace)
     return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block_rows=st.integers(1, 7),
+    marks=st.lists(
+        st.tuples(st.sampled_from(["outside", "below", "jump", "nan"]), st.integers(1, 160)),
+        max_size=3,
+    ),
+)
+@example(block_rows=3, marks=[])
+@example(block_rows=3, marks=[("outside", 100)])  # the slice is step 29
+@example(block_rows=64, marks=[("jump", 140), ("nan", 150)])
+@example(block_rows=1, marks=[("below", 162)])
+@example(block_rows=2, marks=[("below", 29)])
+def test_certify_raises_what_the_dense_oracle_reports(block_rows, marks):
+    # one walk validates and finds the slice: a fault anywhere, after the
+    # slice too, fails validation with the oracle's step and message
+    trace = _perturbed(generate_trace("uniform", 2, BlockParams.default()), marks)
+    ok, message, step = validate_trace_dense(trace)
+    walks = mock.Mock(side_effect=trace.blocks)
+    trace.blocks = walks
+    with mock.patch.object(sweepout, "_BLOCK_CELLS", block_rows * trace.graph.entry_count):
+        if ok:
+            assert certify(trace).t0 == 29
+        else:
+            with pytest.raises(TraceError) as caught:
+                certify(trace)
+            assert str(caught.value) == f"trace failed validation at step {step}: {message}"
+    assert walks.call_count == 1
 
 
 @pytest.fixture
