@@ -15,7 +15,10 @@ without one (no arguments, ``-h``, an unknown name) it builds them all,
 so that the help and the invalid-choice message list every command.
 
 Exit codes: 0 success, 1 invalid input, 2 capacity exceeded (a size cap,
-or out of memory), 3 a verification came back negative.
+or out of memory), 3 a verification came back negative.  Each command's
+handler returns its document and its verdict; `main` is the one place
+that writes stdout, adds the ``"command"`` key to a JSON document, and
+turns a verdict that does not hold into exit 3.
 
 Output is byte-stable for fixed inputs; no ``--seed`` means seed 0.
 JSON is what ``json.dumps(doc, sort_keys=True, indent=2)`` prints: keys
@@ -179,78 +182,67 @@ def _load_params(path: str | None) -> metric.BlockParams:
     return metric.load_params(path)
 
 
-def _cmd_profile(args: argparse.Namespace, cap: int | None) -> int:
+# what a command hands `main`: the JSON document, as a dict without its
+# "command" key, or the text to print, and whether its verdict holds
+_Result = tuple[dict[str, Any] | str, bool]
+
+
+def _cmd_profile(args: argparse.Namespace, cap: int | None) -> _Result:
     profile = (dp.node_profile if args.kind == "node" else dp.leaf_profile)(
         args.m, cap=cap
     )
     counts = profile.index_range
     rows = np.column_stack((np.arange(counts.start, counts.stop), profile.min_d))
-    if args.format == "csv":
-        label = "b" if args.kind == "node" else "t"
-        body = "\n".join(["%d,%d"] * len(rows)) % tuple(rows.ravel().tolist())
-        sys.stdout.write(f"{label},min_d\n{body}\n")
-    else:
-        _emit_json({"command": "profile", "kind": args.kind, "m": args.m, "profile": rows})
-    return EXIT_OK
+    if args.format == "json":
+        return {"kind": args.kind, "m": args.m, "profile": rows}, True
+    label = "b" if args.kind == "node" else "t"
+    body = "\n".join(["%d,%d"] * len(rows)) % tuple(rows.ravel().tolist())
+    return f"{label},min_d\n{body}\n", True
 
 
-def _cmd_bset(args: argparse.Namespace, cap: int | None) -> int:
+def _cmd_bset(args: argparse.Namespace, cap: int | None) -> _Result:
     result = dp.achievable_set(args.m, args.d, cap=cap)
-    _emit_json(
-        {
-            "command": "bset",
-            "m": args.m,
-            "d": args.d,
-            "members": list(result.members),
-            "cardinality": len(result),
-            "bound": bounds_mod.lemma_cardinality_bound(args.m, args.d),
-        }
-    )
-    return EXIT_OK
+    return {
+        "m": args.m,
+        "d": args.d,
+        "members": list(result.members),
+        "cardinality": len(result),
+        "bound": bounds_mod.lemma_cardinality_bound(args.m, args.d),
+    }, True
 
 
-def _cmd_verify(args: argparse.Namespace, cap: int | None) -> int:
+def _cmd_verify(args: argparse.Namespace, cap: int | None) -> _Result:
     report = bounds_mod.verify(args.m, args.which, cap=cap)
-    _emit_json(
-        {
-            "command": "verify",
-            "which": args.which,
-            "m": report.m,
-            "quantity": report.quantity,
-            "bound": report.paper_bound,
-            "computed": report.computed_value,
-            "holds": report.holds,
-        }
-    )
-    return EXIT_OK if report.holds else EXIT_FAILED_VERIFICATION
+    return {
+        "which": args.which,
+        "m": report.m,
+        "quantity": report.quantity,
+        "bound": report.paper_bound,
+        "computed": report.computed_value,
+        "holds": report.holds,
+    }, report.holds
 
 
-def _cmd_width(args: argparse.Namespace, cap: int | None) -> int:
+def _cmd_width(args: argparse.Namespace, cap: int | None) -> _Result:
     params = _load_params(args.params)
     profile = dp.leaf_profile(args.m, cap=cap)  # checks the cap before a(m)
     a = bounds_mod.a_of_m(args.m)
     leaf_value = profile[a]
-    _emit_json(
-        {
-            "command": "width-bound",
-            "m": args.m,
-            "a": a,
-            "leaf_value": leaf_value,
-            "paper_bound": metric.paper_width_bound(args.m, params),
-            "certified_bound": metric.certified_width_bound(leaf_value, params),
-            "params": asdict(params),
-        }
-    )
-    return EXIT_OK
+    return {
+        "m": args.m,
+        "a": a,
+        "leaf_value": leaf_value,
+        "paper_bound": metric.paper_width_bound(args.m, params),
+        "certified_bound": metric.certified_width_bound(leaf_value, params),
+        "params": asdict(params),
+    }, True
 
 
-def _cmd_iso(args: argparse.Namespace, cap: int | None) -> int:
-    query = metric.iso_profile_lower_bound(args.m, _load_params(args.params), cap=cap)
-    _emit_json({"command": "iso-bound", **asdict(query)})
-    return EXIT_OK
+def _cmd_iso(args: argparse.Namespace, cap: int | None) -> _Result:
+    return asdict(metric.iso_profile_lower_bound(args.m, _load_params(args.params), cap=cap)), True
 
 
-def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
+def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> _Result:
     params = _load_params(args.params)
     trace = sweepout.generate_trace(
         args.strategy, args.m, params, delta=args.delta, seed=args.seed
@@ -259,27 +251,23 @@ def _cmd_sweepout(args: argparse.Namespace, cap: int | None) -> int:
     paper = metric.paper_width_bound(args.m, params)
     meets = certificate.certified_area >= paper
     children = certificate.sandwich_regions.children
-    _emit_json(
-        {
-            "command": "sweepout",
-            "strategy": args.strategy,
-            "m": args.m,
-            "seed": args.seed,
-            "delta": trace.step_bound,
-            "steps": trace.shape[0],
-            "t0": certificate.t0,
-            "black_nodes": np.flatnonzero(certificate.coloring.bits) + 1,
-            "sandwich_pairs": np.column_stack((children // 2, children)),
-            "disjoint_count": certificate.disjoint_count,
-            "certified_area": certificate.certified_area,
-            "paper_bound": paper,
-            "meets_paper_bound": meets,
-        }
-    )
-    return EXIT_OK if meets else EXIT_FAILED_VERIFICATION
+    return {
+        "strategy": args.strategy,
+        "m": args.m,
+        "seed": args.seed,
+        "delta": trace.step_bound,
+        "steps": trace.shape[0],
+        "t0": certificate.t0,
+        "black_nodes": np.flatnonzero(certificate.coloring.bits) + 1,
+        "sandwich_pairs": np.column_stack((children // 2, children)),
+        "disjoint_count": certificate.disjoint_count,
+        "certified_area": certificate.certified_area,
+        "paper_bound": paper,
+        "meets_paper_bound": meets,
+    }, meets
 
 
-def _cmd_export_dot(args: argparse.Namespace, cap: int | None) -> int:
+def _cmd_export_dot(args: argparse.Namespace, cap: int | None) -> _Result:
     match = re.fullmatch(r"([bt])=(\d+)", args.witness)
     if match is None:
         raise InvalidParameterError(
@@ -293,9 +281,7 @@ def _cmd_export_dot(args: argparse.Namespace, cap: int | None) -> int:
             f"--witness index has {len(digits)} digits, too many for a count"
         ) from None
     profile = (dp.node_profile if which == "b" else dp.leaf_profile)(args.m, cap=cap)
-    coloring = dp.witness(profile, index)
-    sys.stdout.write(render_dot(coloring))
-    return EXIT_OK
+    return render_dot(dp.witness(profile, index)), True
 
 
 _M = ("-m", {"type": int, "required": True})
@@ -350,8 +336,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
         args = _build_parser(named).parse_args(argv)
-        cap = _env_cap()
-        return _COMMANDS[args.command][1](args, cap)
+        document, holds = _COMMANDS[args.command][1](args, _env_cap())
+        if isinstance(document, str):
+            sys.stdout.write(document)
+        else:
+            _emit_json({"command": args.command, **document})
+        return EXIT_OK if holds else EXIT_FAILED_VERIFICATION
     except _UsageError as exc:
         print(f"dichromat: invalid usage: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, ContextManager, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -72,12 +73,13 @@ STRATEGIES = ("dfs-fill", "bfs-fill", "uniform", "random-monotone")
 # Largest float64 table a trace may need, 8 bytes a cell: the cells one
 # pass over a generated trace reads, and a dense `SweepoutTrace.steps`.
 # No generated trace holds those cells at once, so the cap bounds the
-# work of a pass and the table `steps` builds.  Random-monotone's memory
-# no longer grows with its rows, but its cap stays where its dense table
-# put it until a measurement moves it.  A `sweepout` call replays its rows
-# once; with the default parameters that pass took a median 0.070 s at
-# m = 16 (47 rows) and 0.109 s at m = 17 (48 rows), the first walk of a
-# fresh trace in a fresh process on a 2-vCPU Xeon
+# work of a pass and the table `steps` builds.  Random-monotone is held
+# to it like the others: a walk keeps only a block of its rows, but one
+# walk still reads every cell, and `steps` still builds the whole table
+# when asked.  A `sweepout` call replays its rows once; with the default
+# parameters that pass took a median 0.070 s at m = 16 (47 rows) and
+# 0.109 s at m = 17 (48 rows), the first walk of a fresh trace in a fresh
+# process on a 2-vCPU Xeon
 TRACE_BYTES_CAP = 512 * 2**20
 
 # cells of a row block, or steps of an event block; a block of one row may
@@ -147,12 +149,13 @@ class SweepoutTrace:
 
     A random-monotone trace ends where its replay does, so it starts
     without a row count; the first walk of its blocks that runs to the
-    end sets it, and that is the one thing a trace writes to itself.
-    ``shape``, ``row(t)`` and ``steps`` asked for before then cost one
-    counting walk.  ``row(t)`` refuses a step outside the trace before it
-    walks for the row.  No pass in the package reads ``steps``, and no
-    consumer writes to the trace: what a consumer finds, such as the
-    special slice and its row, it returns.
+    end sets it.  ``shape``, ``row(t)`` and ``steps`` asked for before
+    then cost one counting walk.  ``steps`` keeps the dense table it
+    builds, so a second call walks no block; the row count and that table
+    are all a trace writes to itself.  ``row(t)`` refuses a step outside
+    the trace before it walks for the row.  No pass in the package reads
+    ``steps``, and no consumer writes to the trace: what a consumer
+    finds, such as the special slice and its row, it returns.
     """
 
     def __init__(self, graph: RegionGraph, steps: np.ndarray, step_bound: float) -> None:
@@ -308,9 +311,10 @@ def validate_trace(trace: SweepoutTrace) -> ValidationReport:
     (`_scan`), each checked on its own against the row before it: a row
     block row by row, an event block by its values, each against its
     column's capacity and its column's previous value, since the other
-    columns of that step do not move.  The row count is the walk's own;
-    a trace that already knows it has fewer than two rows is reported so,
-    whatever its rows hold.
+    columns of that step do not move.  The row count is checked before
+    the walk, so a trace of fewer than two rows is reported so, whatever
+    its rows hold: every trace but random-monotone knows its count from
+    the start, and random-monotone always has at least two rows.
     """
     return _scan(trace)[0]
 
@@ -328,6 +332,11 @@ def find_special_slice(trace: SweepoutTrace, a: int) -> int:
     return _scan(trace, a, validate=False)[1]
 
 
+def _failed(message: str, step: int | None = None) -> tuple[ValidationReport, None, None]:
+    """What `_scan` returns for a failed check."""
+    return ValidationReport(False, message, step), None, None
+
+
 def _scan(
     trace: SweepoutTrace, a: int | None = None, validate: bool = True
 ) -> tuple[ValidationReport, int | None, np.ndarray | None]:
@@ -335,9 +344,12 @@ def _scan(
     special slice of ``a`` leaves, or both, and returns the report, the
     slice's step and a read-only copy of its row (None without ``a``).
 
-    Validating, the walk runs to the last row, or stops at the first
-    failed check, and a failed report is returned before any slice error
-    is raised; otherwise it stops at the slice.  The slice is found with
+    Validating, the fewer-than-two-rows rule comes before the walk,
+    which then runs to the last row, or stops at the first failed check
+    of a block of either shape, and a failed report is returned before
+    any slice error is raised; otherwise the walk stops at the slice.
+    An event block's previous values (`_previous`) are computed once,
+    for both the step check and the slice count.  The slice is found with
     a running count of leaves at or above alpha, which a leaf event moves
     by at most one.  With the slice found, "no step reaches the
     threshold" and then an `AdmissibilityError` are raised as
@@ -355,18 +367,23 @@ def _scan(
     jump_limit = trace.step_bound + tol
     too_far = f"step exceeds bound {trace.step_bound}"
     scratch = np.empty(0)  # a row block's step differences
-
-    def fault(start, cols, values, row) -> tuple[str, int] | None:
-        """The first failed check of a block against ``row``, the row
-        before it, as (message, step), or None."""
-        nonlocal scratch
+    # every trace but random-monotone knows its row count, and a
+    # random-monotone trace has at least two rows
+    if validate and trace._rows is not None and trace._rows < 2:
+        return _failed(f"expected shape (>=2, {trace.graph.entry_count}), got {trace.shape}")
+    count, t0, hit = 0, None, None
+    # a violation found in one block precedes everything in later blocks
+    for start, cols, values, row in _walk(trace):
         if values.ndim == 1:
+            prev = _previous(cols, values, row)
+        fail = None  # each step's failed check, unless the block passes at once
+        if validate and values.ndim == 1:
             # the first block is a row block, so an event has a step before it
             outside = ~((values >= -tol) & (values <= high[cols]))
-            fail = outside | (np.abs(values - _previous(cols, values, row)) > jump_limit)
-        else:
+            fail = outside | (np.abs(values - prev) > jump_limit)
+        elif validate:
             if start == 0 and np.abs(values[0]).max() > tol:
-                return "first step is not the empty vector", 0
+                return _failed("first step is not the empty vector", 0)
             inside = values >= -tol
             inside &= values <= high
             if scratch.size < values.size:
@@ -378,23 +395,12 @@ def _scan(
             np.subtract(values[1:], values[:-1], out=jumps[1:])
             np.abs(jumps, out=jumps)
             # NaN fails `inside`, so a block holding one is never skipped
-            if inside.all() and jumps.max() <= jump_limit:
-                return None
-            outside = ~inside.all(axis=1)
-            fail = outside | (jumps.max(axis=1) > jump_limit)
-        i = int(np.argmax(fail))
-        return (_OUTSIDE if outside[i] else too_far, start + i) if fail[i] else None
-
-    # a trace known to have fewer than two rows is reported as such, so
-    # its blocks go unchecked
-    check = validate and (trace._rows is None or trace._rows >= 2)
-    count, t0, hit, rows = 0, None, None, 0
-    # a violation found in one block precedes everything in later blocks
-    for start, cols, values, row in _walk(trace):
-        rows = start + len(values)
-        found = check and fault(start, cols, values, row)
-        if found:
-            return ValidationReport(False, *found), None, None
+            if not (inside.all() and jumps.max() <= jump_limit):
+                outside = ~inside.all(axis=1)
+                fail = outside | (jumps.max(axis=1) > jump_limit)
+        if fail is not None and fail.any():
+            i = int(np.argmax(fail))
+            return _failed(_OUTSIDE if outside[i] else too_far, start + i)
         if a is None or t0 is not None:
             continue
         if values.ndim == 2:
@@ -405,7 +411,7 @@ def _scan(
             if not at.size:
                 continue
             reached = (values[at] >= alpha).astype(np.intp)
-            reached -= _previous(cols[at], values[at], row) >= alpha
+            reached -= prev[at] >= alpha
             counts = count + np.cumsum(reached)
         hits = np.flatnonzero(counts >= a)
         count = int(counts[-1])
@@ -415,11 +421,8 @@ def _scan(
             _to_step(hit, cols, values, t0 - start)
             if not validate:
                 break
-    if validate and rows < 2:
-        n = trace.graph.entry_count
-        return ValidationReport(False, f"expected shape (>=2, {n}), got {trace.shape}"), None, None
     if validate and np.abs(row - caps).max() > tol:
-        return ValidationReport(False, "last step is not the full vector", rows - 1), None, None
+        return _failed("last step is not the full vector", trace._rows - 1)
     if a is None:
         return ValidationReport(True), None, None
     if t0 is None:
@@ -791,6 +794,12 @@ def generate_trace(
 # serialization
 
 
+def _opened(target: str | Path | IO[str], mode: str) -> ContextManager[IO[str]]:
+    """A path opened in ``mode`` and closed on leaving, or a stream as it
+    is, left open for its owner."""
+    return open(target, mode) if isinstance(target, (str, Path)) else nullcontext(target)
+
+
 def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
     """Line-oriented CSV: step index, entry id, volume (shortest exact float).
 
@@ -798,9 +807,7 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
     step of an event block only its one changed cell, and the other
     cells keep the text of the step before.
     """
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w") if own else target
-    try:
+    with _opened(target, "w") as fh:
         prefix = [f",{ident}," for ident in trace.graph.entry_ids()]
         # column c's text is cells[c + 1]; a row's lines are cells joined by its step
         cells = [""] * (len(prefix) + 1)
@@ -815,9 +822,6 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
             for s, line in zip(steps, values.tolist()):
                 cells[1:] = [f"{p}{v!r}\n" for p, v in zip(prefix, line)]
                 fh.write(str(s).join(cells))
-    finally:
-        if own:
-            fh.close()
 
 
 def _parse_record(line: str, col_of: dict[str, int]) -> tuple[int, int, float]:
@@ -985,9 +989,7 @@ def trace_read_csv(
     rows = 0
     dense = True
     lineno = 0  # lines before the current block
-    own = isinstance(source, (str, Path))
-    fh = open(source) if own else source
-    try:
+    with _opened(source, "r") as fh:
         for text in _csv_blocks(fh):
             if lineno == 0 and text:
                 text = _after_header(text)
@@ -1007,9 +1009,6 @@ def trace_read_csv(
                 step += col
                 flats.append(step)
                 values.append(value)
-    finally:
-        if own:
-            fh.close()
     if lineno == 0:
         raise TraceError(f"missing '{_CSV_HEADER}' header")
 

@@ -1021,6 +1021,19 @@ def test_oversized_m_refused_before_work(argv):
     assert float(proc.stderr.splitlines()[-1]) < 2.0
 
 
+def test_lemma22_past_the_cut_limit_refused_before_any_table():
+    # lemma22_depth(21) = 5 passes the depth check, but the table of T_21
+    # may be cut at d <= 2 at most, so the cut is refused before any table
+    proc = _main_in_one_gib("verify", "--which", "lemma22", "-m", "21", timeout=30)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    message, seconds = proc.stderr.splitlines()
+    assert message == (
+        "dichromat: capacity exceeded: the feasible-pairs table at m=21 cut at d=5 "
+        f"exceeds the cap of {dp.PAIRS_CELLS_CAP} cells; use a smaller m or d"
+    )
+    assert float(seconds) < 2.0
+
+
 def test_band_bset_reads_no_table():
     # bset -m 12 -d 1535 is a row of the achievable-set band: a fresh
     # process answers it in well under a second (about 15 s when it read

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -34,32 +35,40 @@ class TestValidation:
 
     @pytest.mark.parametrize("key", ["V0", "mu", "tau", "alpha"])
     def test_volumes_strictly_positive(self, key):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=f"{key} must be strictly positive"):
             RAT.replace(**{key: 0})
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=f"{key} must be strictly positive"):
             RAT.replace(**{key: -1})
 
     @pytest.mark.parametrize("key", ["rel_isop_C", "iso_C", "C3"])
     def test_constants_nonnegative(self, key):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=f"{key} must be nonnegative"):
             RAT.replace(**{key: -1})
         RAT.replace(**{key: 0})  # zero is the degenerate-but-legal edge
 
     def test_tube_exceeds_ball(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="tau must exceed neck volume mu"):
             RAT.replace(tau=Fraction(1, 2))  # tau <= mu
 
     def test_ball_budget(self):
-        with pytest.raises(InvalidParameterError):
-            RAT.replace(mu=7)  # 3*mu >= V0
+        # tau = 8 > mu, so only 3*mu >= V0 = 20 is left to refuse it
+        with pytest.raises(InvalidParameterError, match=re.escape("3*mu must stay below V0")):
+            RAT.replace(mu=7, tau=8)
 
     def test_threshold_headroom(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(
+            InvalidParameterError, match=re.escape("2*alpha must stay below V0 - 3*mu")
+        ):
             RAT.replace(alpha=9)  # 2*alpha >= V0 - 3*mu
 
     def test_rejects_nan(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="V0 must be finite"):
             RAT.replace(V0=float("nan"))
+
+    @pytest.mark.parametrize("value", ["20", None, True])
+    def test_rejects_a_volume_that_is_no_number(self, value):
+        with pytest.raises(InvalidParameterError, match=f"V0 must be a number, got {value!r}"):
+            RAT.replace(V0=value)
 
 
 class TestRegionGraph:
@@ -70,6 +79,11 @@ class TestRegionGraph:
         assert g.node_volume(2) == g.node_volume(3) == RAT.V0 - RAT.mu
         assert g.edge_volume(2) == g.edge_volume(3) == RAT.tau
         assert g.total_volume == 3 * RAT.V0 + 2 * (RAT.tau - 2 * RAT.mu)
+
+    @pytest.mark.parametrize("child", [1, 0, 4])
+    def test_edge_volume_refuses_a_node_with_no_edge_into_it(self, child):
+        with pytest.raises(InvalidParameterError, match=f"no edge into node {child}"):
+            region_graph(1, RAT).edge_volume(child)
 
     def test_m2_region_multiset(self):
         g = region_graph(2, RAT)

@@ -435,6 +435,24 @@ def test_inadmissible_jump_rejected(params):
     trace = SweepoutTrace(graph=graph, steps=steps, step_bound=delta)
     with pytest.raises(AdmissibilityError):
         find_special_slice(trace, a_of_m(2))
+    # colored at that step, a = 1 black leaf leaves three white ones past
+    # alpha + delta
+    with pytest.raises(AdmissibilityError, match="a white leaf holds .* at step 1"):
+        induce_coloring(trace, 1, 1)
+
+
+def test_special_slice_of_a_trace_that_never_reaches_alpha(params):
+    # the first 3 of uniform's rows at m = 3 hold no leaf at alpha
+    trace = generate_trace("uniform", 3, params)
+    cut = SweepoutTrace(graph=trace.graph, steps=trace.steps[:3], step_bound=trace.step_bound)
+    with pytest.raises(TraceError, match="no step reaches the threshold"):
+        find_special_slice(cut, a_of_m(3))
+
+
+def test_induce_coloring_refuses_too_few_leaves_at_alpha(params):
+    trace = generate_trace("uniform", 2, params)
+    with pytest.raises(TraceError, match="^only 0 leaves reach alpha at step 0$"):
+        induce_coloring(trace, 0, 1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -666,8 +684,10 @@ class TestCsvRoundTrip:
 
     def test_missing_header_rejected(self, params):
         trace = generate_trace("uniform", 2, params)
-        with pytest.raises(TraceError, match="header"):
-            trace_read_csv(io.StringIO("nope\n"), trace.graph, trace.step_bound)
+        # an empty text has no header line either
+        for text in ("nope\n", ""):
+            with pytest.raises(TraceError, match="^missing 'step,entry,volume' header$"):
+                trace_read_csv(io.StringIO(text), trace.graph, trace.step_bound)
 
     def test_sparse_table_rejected(self, params):
         trace = generate_trace("uniform", 2, params)
@@ -1337,6 +1357,22 @@ def test_csv_line_route_reads_a_fill_alone(block, params):
         back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
     assert back.steps.tobytes() == trace.steps.tobytes()
     assert decline.called
+
+
+def test_csv_field_past_the_byte_width_takes_the_line_route(params):
+    # a volume text longer than _FIELD_BYTES: the byte route declines its
+    # block, and the line route reads the value the whole text states
+    trace = generate_trace("dfs-fill", 1, params)
+    lines = _csv_lines(trace)
+    long = "0." + "0" * sweepout._FIELD_BYTES + "1"
+    lines[1] = f"{lines[1].rpartition(',')[0]},{long}"
+    text = "\n".join(lines) + "\n"
+    col_of = {ident: i for i, ident in enumerate(trace.graph.entry_ids())}
+    assert sweepout._parse_bytes(text.partition("\n")[2], col_of) is None
+    back = trace_read_csv(io.StringIO(text), trace.graph, trace.step_bound)
+    expect = np.array(trace.steps)
+    expect[0, 0] = float(long)
+    assert back.steps.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "random-monotone"])

@@ -168,6 +168,8 @@ def test_edge_set_sorts_by_child_into_python_ints():
     for bad in ([3, 1], [0]):
         with pytest.raises(InvalidParameterError, match="child end"):
             EdgeSet(bad)
+    with pytest.raises(InvalidParameterError, match=r"1-D child array, got shape \(2, 2\)"):
+        EdgeSet(np.array([[2, 3], [4, 5]]))
 
 
 def test_single_black_leaf_counts():
