@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterator
 
@@ -93,14 +95,15 @@ _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
 # characters read and parsed per block by `trace_read_csv`; reading a 4 MB
-# text in blocks of 2**19 peaked 3 MB higher in RSS, as the byte route's
+# text in blocks of 2**19 peaked 3 MB higher in RSS, as the parser's
 # freed arrays stay in the heap, and saved only a few ms
 _CSV_CHUNK = 1 << 17
-# every character `str.splitlines` breaks a line at
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# the bytes of a block `trace_read_csv` parses as bytes (`_parse_bytes`)
+# the bytes and the longest field of a line `trace_read_csv` reads; the
+# writer's longest field is a volume's repr, at most 24 bytes
+# ("-2.2250738585072014e-308"), and each field is deduplicated by its
+# bytes in whole 8-byte words
 _CSV_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz:.,+-\n"
-_FIELD_BYTES = 32  # the longest field deduplicated by bytes
+_FIELD_BYTES = 32
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], np.uint64)
 
 # (first step, columns, values): rows x every column, or one column and
@@ -137,15 +140,14 @@ class SweepoutTrace:
     shape of the table.  ``SweepoutTrace(graph=, steps=, step_bound=)``
     wraps a read-only copy of a dense table as row blocks, so the
     caller's array stays its own; it refuses, with `TraceError`, a table
-    that is not 2-D with ``graph.entry_count`` columns.  Every other trace
-    comes from the block constructor, `_from_blocks`: `trace_read_csv`
-    hands it the table it parsed, as row blocks and without a copy, and
-    keeps that read-only table as ``steps``; `generate_trace` makes every
-    strategy's trace from its rule, block by block, on each walk: the
-    fills as their empty row and then event blocks, uniform and
-    random-monotone as row blocks, each a new array.  For those,
-    ``steps`` builds the dense table on demand, one row per step, refused
-    past `TRACE_BYTES_CAP`.
+    that is not 2-D with ``graph.entry_count`` columns.  `trace_read_csv`
+    builds its trace with it from the table it read.  Every generated
+    trace comes from the block constructor, `_from_blocks`:
+    `generate_trace` makes every strategy's trace from its rule, block by
+    block, on each walk: the fills as their empty row and then event
+    blocks, uniform and random-monotone as row blocks, each a new array.
+    For those, ``steps`` builds the dense table on demand, one row per
+    step, refused past `TRACE_BYTES_CAP`.
 
     A random-monotone trace ends where its replay does, so it starts
     without a row count; the first walk of its blocks that runs to the
@@ -824,64 +826,33 @@ def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
                 fh.write(str(s).join(cells))
 
 
-def _parse_record(line: str, col_of: dict[str, int]) -> tuple[int, int, float]:
-    step_text, ident, value_text = line.split(",")
-    step = int(step_text)
-    if step < 0:
-        raise ValueError(f"negative step {step}")
-    value = float(value_text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite volume {value}")
-    return step, col_of[ident], value
-
-
 def _csv_blocks(fh: IO[str]) -> Iterator[str]:
-    """The text of ``fh`` in blocks of whole lines, read `_CSV_CHUNK`
-    characters at a time; ``str.splitlines`` of the blocks gives the
-    lines of the whole text.
+    """The text of ``fh`` in blocks of whole ``\\n``-ended lines, read
+    `_CSV_CHUNK` characters at a time, then the text after the last
+    ``\\n``, empty unless the text ends inside a line.
 
-    A block's unfinished last line moves on to the next block, and so
-    does a last line ended by ``\\r``, which may be half of ``\\r\\n``.
-    A block is at least as long as that carried line, so a line longer
-    than a block is copied a bounded number of times, not once a block.
+    A block's unfinished last line moves on to the next block.  A block is
+    at least as long as that carried line, so a line longer than a block
+    is copied a bounded number of times, not once a block.
     """
     carry = ""
     while block := fh.read(max(_CSV_CHUNK, len(carry))):
         text = carry + block
-        cut = len(text)
-        if text[-1] == "\r" or text[-1] not in _LINE_BREAKS:
-            # after the last line break, not counting a final "\r"
-            cut = 1 + max(text.rfind(c, 0, len(text) - 1) for c in _LINE_BREAKS)
+        cut = text.rfind("\n") + 1
         carry = text[cut:]
         yield text[:cut]
     yield carry
 
 
-def _after_header(text: str) -> str:
-    """``text`` without its first line, which must be the header."""
-    end = len(_CSV_HEADER)
-    # the empty string after a header that ends the text is in any str
-    if not text.startswith(_CSV_HEADER) or text[end : end + 1] not in _LINE_BREAKS:
-        raise TraceError(f"missing '{_CSV_HEADER}' header")
-    return text[end + 2 :] if text[end : end + 2] == "\r\n" else text[end + 1 :]
+def _parse_bytes(text: str, first: int, col_of: dict[bytes, int]) -> np.ndarray | None:
+    """The volumes of a block of lines ``first``, ``first + 1``, ...
+    after the header, parsed as one byte array, or None when a line of
+    the block breaks the grammar of `trace_read_csv`.
 
-
-# (step, column, volume) of each record in a block
-Records = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _parse_bytes(text: str, col_of: dict[str, int]) -> tuple[int, Records] | None:
-    """The line count and records of a block, parsed as one byte array, or
-    None when the block takes the line route, `_parse_lines`.
-
-    A block qualifies when it is ASCII of `_CSV_BYTES` only, ends with
-    ``\\n``, and every line is three nonempty fields split by two commas.
     Each field, up to `_FIELD_BYTES` long, is deduplicated by its bytes,
-    so each distinct text gets one ``int``, one ``col_of`` lookup or one
-    ``float``.  Those are the lines, fields and values the line route
-    reads.  Any block that fails, a field too long, a bad value, a
-    negative step or one past int64, goes there, and that route names
-    the first bad line.
+    so each distinct text gets one step lookup, one ``col_of`` lookup or
+    one ``float``; each line's step and column are then compared with
+    the ones its position gives.
     """
     if not text.endswith("\n") or not text.isascii():
         return None
@@ -896,26 +867,28 @@ def _parse_bytes(text: str, col_of: dict[str, int]) -> tuple[int, Records] | Non
     if commas.size != 2 * ends.size:
         return None
     starts = np.concatenate(([pad], ends[:-1] + 1))
-    first, second = commas[0::2], commas[1::2]
+    one, two = commas[0::2], commas[1::2]
     # with two commas a line on average, this puts two in every line,
     # between three nonempty fields; a blank line fails it
-    if not ((starts < first) & (first + 1 < second) & (second + 1 < ends)).all():
+    if not ((starts < one) & (one + 1 < two) & (two + 1 < ends)).all():
         return None
     windows = as_strided(buf, (buf.size - pad, pad), (1, 1), writeable=False)
-    step = _distinct(windows, starts, first)
-    entry = _distinct(windows, first + 1, second)
-    volume = _distinct(windows, second + 1, ends)
+    step = _distinct(windows, starts, one)
+    entry = _distinct(windows, one + 1, two)
+    volume = _distinct(windows, two + 1, ends)
     if step is None or entry is None or volume is None:
         return None
+    step_at, col_at = np.divmod(np.arange(first, first + ends.size), len(col_of))
+    step_of = {b"%d" % s: s for s in range(step_at[0], step_at[-1] + 1)}
+    steps = np.array([step_of.get(field, -1) for field in step[0]])
+    cols = np.array([col_of.get(ident, -1) for ident in entry[0]])
+    if (steps[step[1]] != step_at).any() or (cols[entry[1]] != col_at).any():
+        return None
     try:
-        steps = np.array(list(map(int, step[0])), np.int64)
-        cols = np.array([col_of[ident.decode()] for ident in entry[0]], np.intp)
-        values = np.array(list(map(float, volume[0])), np.float64)
-    except (KeyError, ValueError, OverflowError):
+        values = np.array(list(map(float, volume[0])))
+    except ValueError:
         return None
-    if steps.min() < 0 or not np.isfinite(values).all():
-        return None
-    return ends.size, (steps[step[1]], cols[entry[1]], values[volume[1]])
+    return values[volume[1]] if np.isfinite(values).all() else None
 
 
 def _distinct(
@@ -946,88 +919,60 @@ def _distinct(
     return cells[order[new]].view(f"S{w}")[:, 0].tolist(), index
 
 
-def _parse_lines(
-    lines: list[str], first_lineno: int, col_of: dict[str, int]
-) -> tuple[int, Records | None]:
-    """The line count and records of a block, split into ``lines``, read
-    one line at a time by `_parse_record`, blank lines skipped.  The
-    records are None when a step index is past int64.  Raises `TraceError`
-    naming the first bad line."""
-    records = []
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if line.strip():
-            try:
-                records.append(_parse_record(line, col_of))
-            except (ValueError, KeyError) as exc:
-                raise TraceError(f"line {lineno}: bad record {line!r}") from exc
-    step, col, value = zip(*records) if records else ((), (), ())
-    if max(step, default=0) >= 2**63:
-        return len(lines), None  # a step past int64: no such table is dense
-    return len(lines), (np.array(step, np.int64), np.array(col, np.intp), np.array(value))
+def _bad_line(text: str, first: int, col_of: dict[bytes, int]) -> str:
+    """The refusal naming the first bad line of a block that
+    `_parse_bytes` refuses: the last of the fewest leading lines of the
+    block that it refuses, found by bisection."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty text after a final "\n"
+    ends = list(accumulate(len(line) + 1 for line in lines))
+    bad = bisect_left(
+        range(len(lines)), True,
+        key=lambda i: _parse_bytes(text[: ends[i]], first, col_of) is None,
+    )
+    # the header is line 1
+    return f"line {first + bad + 2}: bad record {lines[bad]!r}"
 
 
 def trace_read_csv(
     source: str | Path | IO[str], graph: RegionGraph, step_bound: float
 ) -> SweepoutTrace:
-    """Inverse of `trace_write_csv` for the given region graph.
+    """Inverse of `trace_write_csv` for the given region graph: reads
+    exactly the text the writer writes, and refuses any other.
 
-    Blank lines are skipped.  Every (step, entry) cell of a dense table
-    must appear exactly once, in any order; a step index is a nonnegative
-    integer and a volume a finite float.  The text is read and parsed a
-    block of whole lines at a time, so besides the table only one block
-    is held.  A block takes one of two routes, chosen from its own text:
-    one of plain records in lowercase ASCII and ``\\n``-ended is parsed as
-    bytes (`_parse_bytes`); any other, with whitespace, ``\\r``, ``_``,
-    uppercase, non-ASCII digits, blank lines or a bad record, is split
-    into lines and read one line at a time (`_parse_lines`).  Both read
-    the same table and give the same errors.
+    The text is the header line and then one ``\\n``-ended line per
+    cell, in the writer's order: line k after the header is step
+    k // E and entry ``graph.entry_ids()[k % E]``, E the number of
+    entries, its step written in decimal with no sign or leading zero.
+    Each volume is a finite ``float()`` text of `_CSV_BYTES` bytes, at
+    most `_FIELD_BYTES` long.  A text without the header raises
+    `TraceError` naming it; a bad line, one that ends the text without
+    its ``\\n`` too, raises it naming the first; a text that ends
+    inside a row raises it as not dense.  The header alone is an empty
+    table.
+
+    The text is read and parsed a block of whole lines at a time by
+    `_parse_bytes`, the one statement of the line grammar; a block it
+    refuses is bisected with it for the first bad line.  Besides the
+    volumes read, only one block is held.  The trace is built by
+    ``SweepoutTrace(graph=, steps=, step_bound=)``.
     """
-    col_of = {ident: i for i, ident in enumerate(graph.entry_ids())}
-    entries = len(col_of)
-    flats: list[np.ndarray] = []  # step * entries + column, per block
+    col_of = {ident.encode(): i for i, ident in enumerate(graph.entry_ids())}
     values: list[np.ndarray] = []
-    rows = 0
-    dense = True
-    lineno = 0  # lines before the current block
+    lines = 0  # lines after the header before the current block
     with _opened(source, "r") as fh:
+        if fh.read(len(_CSV_HEADER) + 1) != _CSV_HEADER + "\n":
+            raise TraceError(f"missing '{_CSV_HEADER}' header")
         for text in _csv_blocks(fh):
-            if lineno == 0 and text:
-                text = _after_header(text)
-                lineno = 1
             if not text:
                 continue
-            count, records = _parse_bytes(text, col_of) or _parse_lines(
-                text.splitlines(), lineno + 1, col_of
-            )
-            lineno += count
-            if records is None:
-                dense = False
-            elif records[0].size:
-                step, col, value = records
-                rows = max(rows, int(step.max()) + 1)
-                step *= entries
-                step += col
-                flats.append(step)
-                values.append(value)
-    if lineno == 0:
-        raise TraceError(f"missing '{_CSV_HEADER}' header")
-
-    flat = np.concatenate([np.empty(0, np.int64), *flats])
-    n = flat.size
-    if not dense or n < rows * entries:
+            block = _parse_bytes(text, lines, col_of)
+            if block is None:
+                raise TraceError(_bad_line(text, lines, col_of))
+            values.append(block)
+            lines += block.size
+    if lines % len(col_of):
         raise TraceError("missing entries: trace table is not dense")
-    seen = np.zeros(rows * entries, dtype=bool)
-    seen[flat] = True
-    if np.count_nonzero(seen) < n:
-        dup = int(np.flatnonzero(np.bincount(flat) > 1)[0])
-        raise TraceError(
-            f"duplicate record for step {dup // entries}, "
-            f"entry {graph.entry_ids()[dup % entries]}"
-        )
-    steps = np.empty((rows, entries))
-    steps.reshape(-1)[flat] = np.concatenate([np.empty(0), *values])
-    steps.flags.writeable = False
-    blocks = partial(_row_blocks, rows, entries, steps.__getitem__)
-    trace = SweepoutTrace._from_blocks(graph, step_bound, rows, blocks)
-    trace._steps = steps  # `steps` is the parsed table, and walks no block
-    return trace
+    steps = np.concatenate([np.empty(0), *values]).reshape(-1, len(col_of))
+    return SweepoutTrace(graph=graph, steps=steps, step_bound=step_bound)

@@ -491,39 +491,41 @@ def _entry_ids(node_count: int) -> list[str]:
 
 
 def read_csv_whole(text: str, node_count: int) -> np.ndarray:
-    """The trace table of a CSV text, from the whole text split into lines
-    and read one line at a time.  Raises ValueError with the message the
-    reader gives: the first bad line, else a missing cell, else the
-    duplicate with the lowest (step, entry)."""
+    """The trace table of a CSV text in the writer's grammar and order,
+    from the whole text split at "\\n" and read one line at a time.
+
+    The header line, then line k after it is step k // E and entry k % E,
+    E the number of entries, the step in plain decimal; a volume is a
+    finite ``float()`` text of at most 32 characters from the writer's
+    alphabet, and every line ends with "\\n".  Raises ValueError with the
+    message the reader gives: a missing header, else the first bad line,
+    else a text that ends inside a row."""
     ids = _entry_ids(node_count)
-    col_of = {ident: i for i, ident in enumerate(ids)}
-    lines = text.splitlines()
-    if not lines or lines[0] != "step,entry,volume":
+    header, newline, body = text.partition("\n")
+    if header != "step,entry,volume" or not newline:
         raise ValueError("missing 'step,entry,volume' header")
-    cells: dict[tuple[int, int], list[float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    *lines, tail = body.split("\n")  # tail: what follows the last "\n"
+    values = []
+    for k, line in enumerate(lines + [tail] if tail else lines):
+        step, col = divmod(k, len(ids))
+        fields = line.split(",")
+        volume = fields[-1]
         try:
-            step_text, ident, value_text = line.split(",")
-            step, col, value = int(step_text), col_of[ident], float(value_text)
-            if step < 0 or not math.isfinite(value):
+            if (
+                k == len(lines)  # the tail, not ended by "\n"
+                or fields[:2] != [str(step), ids[col]]
+                or len(fields) != 3
+                or len(volume) > 32
+                or not set(volume) <= set("0123456789abcdefghijklmnopqrstuvwxyz:.+-")
+                or not math.isfinite(float(volume))
+            ):
                 raise ValueError(line)
-        except (ValueError, KeyError):
-            raise ValueError(f"line {lineno}: bad record {line!r}") from None
-        cells.setdefault((step, col), []).append(value)
-    rows = 1 + max((step for step, _ in cells), default=-1)
-    count = sum(map(len, cells.values()))
-    if count < rows * len(ids):
+        except ValueError:
+            raise ValueError(f"line {k + 2}: bad record {line!r}") from None
+        values.append(float(volume))
+    if len(values) % len(ids):
         raise ValueError("missing entries: trace table is not dense")
-    dups = sorted(cell for cell, values in cells.items() if len(values) > 1)
-    if dups:
-        step, col = dups[0]
-        raise ValueError(f"duplicate record for step {step}, entry {ids[col]}")
-    table = np.empty((rows, len(ids)))
-    for (step, col), (value,) in cells.items():
-        table[step, col] = value
-    return table
+    return np.array(values, dtype=np.float64).reshape(-1, len(ids))
 
 
 def json_dumps_indented(payload) -> str:

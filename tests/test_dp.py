@@ -576,6 +576,50 @@ def test_fft_residual_guard_raises(monkeypatch):
     assert calls == []
 
 
+# the three "internal error" raises below guard invariants that no input
+# breaks; each test injects the fault its raise reports
+
+
+@pytest.mark.parametrize("kind", ["node", "leaf"])
+def test_unreachable_profile_count_raises(monkeypatch, kind):
+    climb = dp._climb
+
+    def holed(m, kind):
+        *rows, top = climb(m, kind)
+        yield from rows
+        top = top.copy()
+        top[1] = top[-2] = np.inf  # count 1 is in both kinds' range
+        yield top
+
+    monkeypatch.setattr(dp, "_climb", holed)
+    with pytest.raises(DichromatError, match="^internal error: unreachable count in profile range$"):
+        dp._profile(4, kind, None)
+
+
+def test_witness_split_not_found_raises(monkeypatch):
+    profile = node_profile(4)
+    tables = dp._profile_tables
+
+    def raised(m, kind):
+        # every row below the root one more than any split can meet
+        root, *rest = tables(m, kind)
+        return [root, *(row + 1 for row in rest)]
+
+    monkeypatch.setattr(dp, "_profile_tables", raised)
+    with pytest.raises(DichromatError, match="^internal error: witness split not found$"):
+        witness(profile, 5)
+
+
+def test_witness_check_failed_raises(monkeypatch):
+    profile = leaf_profile(3)
+    count = dp.count_dichromatic
+    monkeypatch.setattr(
+        dp, "count_dichromatic", lambda coloring: (count(coloring)[0] + 1, count(coloring)[1])
+    )
+    with pytest.raises(DichromatError, match=r"^internal error: witness check failed \("):
+        witness(profile, 3)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_matching_equals_brute_force(m):
     tree = build_tree(m)

@@ -1274,21 +1274,12 @@ def test_csv_reader_matches_whole_text_oracle(data, params):
     newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
     block = data.draw(st.sampled_from([1, 2, 3, 17, 256, sweepout._CSV_CHUNK]))
-    # False makes the byte route decline, so every block takes the line route
-    byte_route = data.draw(st.booleans())
-    _assert_read_matches_oracle(text, trace, block, byte_route)
+    _assert_read_matches_oracle(text, trace, block)
 
 
-def _decline(text, col_of):
-    """A byte route that takes no block."""
-    return None
-
-
-def _assert_read_matches_oracle(text, trace, block, byte_route):
+def _assert_read_matches_oracle(text, trace, block):
     expect = _read_outcome(read_csv_whole, text, trace.graph.tree.node_count)
-    parse_bytes = sweepout._parse_bytes if byte_route else _decline
-    with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
-            mock.patch.object(sweepout, "_parse_bytes", parse_bytes):
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block):
         got = _read_outcome(trace_read_csv, io.StringIO(text), trace.graph, trace.step_bound)
     if got[0] == "ok":
         got = "ok", got[1].steps
@@ -1302,13 +1293,12 @@ def _assert_read_matches_oracle(text, trace, block, byte_route):
 @pytest.mark.parametrize("kind", _LINE_MUTATIONS)
 @pytest.mark.parametrize("block", [256, sweepout._CSV_CHUNK])
 def test_csv_each_mutation_matches_oracle(kind, block, params):
-    # every mutation once, near the start and at the last line, on both routes
+    # every mutation once, near the start and at the last line
     trace = generate_trace("dfs-fill", 2, params)
     lines = _csv_lines(trace)
     for i in (5, len(lines) - 1):
         text = "\n".join(_mutated(lines, kind, i)) + "\n"
-        for byte_route in (True, False):
-            _assert_read_matches_oracle(text, trace, block, byte_route)
+        _assert_read_matches_oracle(text, trace, block)
 
 
 _VOLUME_HEADS = ["0.", "1.", "1.000000", "1.00000000000000", "1.0000000000000000000000"]
@@ -1327,52 +1317,33 @@ def test_csv_volume_texts_dedupe_by_every_byte(heads, tails, params):
     for i in range(1, len(lines)):
         volume = heads[i % len(heads)] + tails[i % len(tails)]
         lines[i] = f"{lines[i].rpartition(',')[0]},{volume}"
-    _assert_read_matches_oracle("\n".join(lines) + "\n", trace, sweepout._CSV_CHUNK, True)
+    _assert_read_matches_oracle("\n".join(lines) + "\n", trace, sweepout._CSV_CHUNK)
 
 
 @pytest.mark.parametrize("block", [1 << 14, sweepout._CSV_CHUNK])
 def test_csv_byte_route_reads_a_fill_alone(block, params):
-    # the m = 5 round trip never needs the line route
+    # the m = 5 round trip, in blocks of many whole lines
     trace = generate_trace("dfs-fill", 5, params)
     buf = io.StringIO()
     trace_write_csv(trace, buf)
-    refuse = mock.Mock(side_effect=AssertionError("line route taken"))
-    with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
-            mock.patch.object(sweepout, "_parse_lines", refuse):
+    with mock.patch.object(sweepout, "_CSV_CHUNK", block):
         back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
     assert back.steps.tobytes() == trace.steps.tobytes()
-    assert not refuse.called
 
 
-@pytest.mark.parametrize("block", [1 << 14, sweepout._CSV_CHUNK])
-def test_csv_line_route_reads_a_fill_alone(block, params):
-    # with the byte route declining every block, the line route reads the
-    # same m = 5 round trip
-    trace = generate_trace("dfs-fill", 5, params)
-    buf = io.StringIO()
-    trace_write_csv(trace, buf)
-    decline = mock.Mock(side_effect=_decline)
-    with mock.patch.object(sweepout, "_CSV_CHUNK", block), \
-            mock.patch.object(sweepout, "_parse_bytes", decline):
-        back = trace_read_csv(io.StringIO(buf.getvalue()), trace.graph, trace.step_bound)
-    assert back.steps.tobytes() == trace.steps.tobytes()
-    assert decline.called
-
-
-def test_csv_field_past_the_byte_width_takes_the_line_route(params):
-    # a volume text longer than _FIELD_BYTES: the byte route declines its
-    # block, and the line route reads the value the whole text states
+def test_csv_field_past_the_byte_width_rejected(params):
+    # a volume text of _FIELD_BYTES is read; one byte more is a bad record
     trace = generate_trace("dfs-fill", 1, params)
     lines = _csv_lines(trace)
-    long = "0." + "0" * sweepout._FIELD_BYTES + "1"
-    lines[1] = f"{lines[1].rpartition(',')[0]},{long}"
-    text = "\n".join(lines) + "\n"
-    col_of = {ident: i for i, ident in enumerate(trace.graph.entry_ids())}
-    assert sweepout._parse_bytes(text.partition("\n")[2], col_of) is None
-    back = trace_read_csv(io.StringIO(text), trace.graph, trace.step_bound)
+    head = lines[1].rpartition(",")[0]
+    volume = "0." + "0" * (sweepout._FIELD_BYTES - 3) + "1"
+    lines[1] = f"{head},{volume}"
     expect = np.array(trace.steps)
-    expect[0, 0] = float(long)
-    assert back.steps.tobytes() == expect.tobytes()
+    expect[0, 0] = float(volume)
+    assert _read_lines(lines, trace).steps.tobytes() == expect.tobytes()
+    lines[1] = f"{head},0{volume}"
+    with pytest.raises(TraceError, match=f"^line 2: bad record '{lines[1]}'$"):
+        _read_lines(lines, trace)
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "random-monotone"])
@@ -1392,12 +1363,15 @@ def test_csv_round_trip_of_rarely_repeating_volumes(strategy, block, params):
 
 @pytest.mark.parametrize("block", [17, sweepout._CSV_CHUNK])
 def test_csv_step_past_int64_is_not_dense(block, params):
-    # a dense table plus one record whose step does not fit in int64
+    # a dense table plus one record whose step does not fit in int64: its
+    # step is not the one its line's position gives
     trace = generate_trace("dfs-fill", 1, params)
     lines = _csv_lines(trace)
     lines.append("9" * 20 + ",node:1,0.0")
     with mock.patch.object(sweepout, "_CSV_CHUNK", block):
-        with pytest.raises(TraceError, match="^missing entries: trace table is not dense$"):
+        with pytest.raises(
+            TraceError, match=f"^line {len(lines)}: bad record '{lines[-1]}'$"
+        ):
             _read_lines(lines, trace)
 
 
@@ -1414,7 +1388,8 @@ def test_csv_bad_header_matches_oracle(header, params):
 
 def test_csv_read_memory_is_bounded(params):
     # the whole text held as one str and one str per line peaked at 33 MiB;
-    # blocks of 2**19 split into lines peaked at 9.5 MiB, 2**17 parsed as bytes at 7.3
+    # blocks of 2**19 split into lines peaked at 9.5 MiB, 2**17 parsed as
+    # bytes and scattered into the table at 7.3, and read in order at 4.3
     trace = generate_trace("dfs-fill", 5, params)
     buf = io.StringIO()
     trace_write_csv(trace, buf)
@@ -1431,17 +1406,20 @@ def test_csv_read_memory_is_bounded(params):
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"])
 def test_csv_read_memory_is_bounded_for_other_line_ends(newline, params):
-    # such blocks take the line route, and a last line ended by "\r" moves
-    # on alone, not with the whole text before it
+    # after the writer's header, the first line ends with "\r\n", or the
+    # whole text after it is one "\r"-broken line, read as one block
     trace = generate_trace("dfs-fill", 5, params)
-    source = io.StringIO(newline.join(_csv_lines(trace)) + newline)
+    header, *lines = _csv_lines(trace)
+    source = io.StringIO(f"{header}\n{newline.join(lines)}{newline}")
     tracemalloc.start()
     try:
-        back = trace_read_csv(source, trace.graph, trace.step_bound)
+        with pytest.raises(TraceError) as err:
+            trace_read_csv(source, trace.graph, trace.step_bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert back.steps.tobytes() == trace.steps.tobytes()
+    first = f"{lines[0]}\r" if newline == "\r\n" else f"{newline.join(lines)}{newline}"
+    assert str(err.value) == f"line 2: bad record {first!r}"
     assert peak < 16 * 2**20, peak
 
 
@@ -1465,8 +1443,9 @@ def test_csv_duplicate_record_rejected(params, replace):
         lines[21] = dup  # count unchanged, one cell missing
     else:
         lines.append(dup)  # one record too many
-    step, ident = dup.split(",")[:2]
-    with pytest.raises(TraceError, match=f"duplicate record for step {step}, entry {ident}"):
+    # the line after the record it repeats is out of the writer's order
+    lineno = 22 if replace else len(lines)
+    with pytest.raises(TraceError, match=f"^line {lineno}: bad record '{dup}'$"):
         _read_lines(lines, trace)
 
 
@@ -1485,15 +1464,34 @@ def test_csv_bad_line_named(params):
     lines = _csv_lines(trace)
     lines.insert(8, "")
     lines[30] = "4,node:1"
-    with pytest.raises(TraceError, match=r"^line 31: bad record '4,node:1'$"):
+    with pytest.raises(TraceError, match=r"^line 9: bad record ''$"):
         _read_lines(lines, trace)
 
 
-def test_csv_blank_lines_skipped(params):
+def test_csv_blank_lines_rejected(params):
     trace = generate_trace("random-monotone", 2, params, seed=3)
     lines = _csv_lines(trace)
     lines[5:5] = ["", "   "]
-    assert np.array_equal(_read_lines(lines, trace).steps, trace.steps)
+    with pytest.raises(TraceError, match=r"^line 6: bad record ''$"):
+        _read_lines(lines, trace)
+
+
+def test_csv_text_cut_inside_its_last_line_rejected(params):
+    # every line ends with "\n": the last line cut short is a bad record,
+    # not a shorter volume; a text cut after a whole line ends inside a row
+    trace = generate_trace("uniform", 2, params)
+    buf = io.StringIO()
+    trace_write_csv(trace, buf)
+    text = buf.getvalue()
+    assert text.endswith("\n162,tube:7,1.4804406601634037\n")
+    with pytest.raises(
+        TraceError, match=r"^line 2120: bad record '162,tube:7,1\.48044066016'$"
+    ):
+        trace_read_csv(io.StringIO(text[:-6]), trace.graph, trace.step_bound)
+    with pytest.raises(TraceError, match="^missing entries: trace table is not dense$"):
+        trace_read_csv(
+            io.StringIO(text[: text.rindex("\n", 0, -1) + 1]), trace.graph, trace.step_bound
+        )
 
 
 def test_csv_header_only_reads_empty_table(params):
