@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .bounds import a_of_m
 from .errors import (
@@ -94,17 +93,32 @@ _BLOCK_CELLS = 1 << 15
 _REL_TOL = 1e-9  # `validate_trace` tolerance, relative to the largest capacity
 
 _CSV_HEADER = "step,entry,volume"
-# characters read and parsed per block by `trace_read_csv`; reading a 4 MB
-# text in blocks of 2**19 peaked 3 MB higher in RSS, as the parser's
-# freed arrays stay in the heap, and saved only a few ms
+# characters read and parsed per block by `trace_read_csv`.  A block's
+# first volumes are compared with the row before it, carried over from
+# the block before, so the table read does not depend on the block size.
+# Reading the 4 MB m = 5 dfs-fill text in blocks of 2**18 took 12% less
+# time, but peaked 2 MB higher in a fresh process's RSS, and 2**19 3 MB
+# higher, as the parser's freed arrays stay in the heap
 _CSV_CHUNK = 1 << 17
 # the bytes and the longest field of a line `trace_read_csv` reads; the
 # writer's longest field is a volume's repr, at most 24 bytes
-# ("-2.2250738585072014e-308"), and each field is deduplicated by its
-# bytes in whole 8-byte words
+# ("-2.2250738585072014e-308"), and fields are compared by their bytes
+# in whole 8-byte words
 _CSV_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz:.,+-\n"
 _FIELD_BYTES = 32
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1], np.uint64)
+# characters of a bad line a refusal quotes
+_QUOTE_CHARS = 80
+# _FIELD_MASKS[j, w] keeps the bytes of word j that a field of w bytes fills
+_FIELD_MASKS = np.array(
+    [[(1 << 8 * min(max(w - j, 0), 8)) - 1 for w in range(_FIELD_BYTES + 1)]
+     for j in range(0, _FIELD_BYTES, 8)],
+    np.uint64,
+)
+
+# `_words` of some texts: word j of each text in row j, and their lengths
+_Words = tuple[np.ndarray, np.ndarray]
+# the row before a CSV block: each column's volume text in words, and its value
+_Row = tuple[np.ndarray, np.ndarray]
 
 # (first step, columns, values): rows x every column, or one column and
 # one value per step
@@ -798,8 +812,10 @@ def generate_trace(
 
 def _opened(target: str | Path | IO[str], mode: str) -> ContextManager[IO[str]]:
     """A path opened in ``mode`` and closed on leaving, or a stream as it
-    is, left open for its owner."""
-    return open(target, mode) if isinstance(target, (str, Path)) else nullcontext(target)
+    is, left open for its owner.  A path's text is neither read nor
+    written with newline translation, so it is the text a stream holds."""
+    is_path = isinstance(target, (str, Path))
+    return open(target, mode, newline="") if is_path else nullcontext(target)
 
 
 def trace_write_csv(trace: SweepoutTrace, target: str | Path | IO[str]) -> None:
@@ -844,95 +860,131 @@ def _csv_blocks(fh: IO[str]) -> Iterator[str]:
     yield carry
 
 
-def _parse_bytes(text: str, first: int, col_of: dict[bytes, int]) -> np.ndarray | None:
+def _words(texts: list[bytes]) -> _Words:
+    """``texts`` zero-padded to whole 8-byte words, word j of each text
+    in row j, and their lengths."""
+    size = -(-max(map(len, texts)) // 8)
+    table = np.array(texts, f"S{8 * size}").view("<u8").reshape(len(texts), size)
+    return np.ascontiguousarray(table.T), np.array([len(text) for text in texts])
+
+
+def _field(words64: np.ndarray, lo: np.ndarray, width: np.ndarray, size: int) -> np.ndarray:
+    """The fields ``[lo, lo + width)`` of a block as ``size`` rows of
+    8-byte words, zero past each field's end; ``words64[i]`` holds the
+    block's 8 bytes from ``i`` on.  A field holds no zero byte, so two
+    fields are equal exactly when all their words are."""
+    return words64[lo + np.arange(0, 8 * size, 8)[:, None]] & _FIELD_MASKS[:size].take(width, 1)
+
+
+def _floats(texts: np.ndarray) -> np.ndarray | None:
+    """The values of volume texts given as rows of words, one column a
+    text, or None when one is no finite ``float()`` text.
+
+    Equal texts are parsed once: the first of each run of equal texts is
+    sorted with the others and compared with its neighbours, so no hash
+    stands in for the bytes, and each distinct text gets one ``float``.
+    """
+    run = np.ones(texts.shape[1], bool)  # the first of each run of equal texts
+    run[1:] = (texts[:, 1:] != texts[:, :-1]).any(0)
+    ranked = texts[:, run]
+    order = np.lexsort(ranked)
+    ranked = ranked.take(order, 1)
+    distinct = np.ones(order.size, bool)
+    distinct[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(0)
+    index = np.empty_like(order)
+    index[order] = np.cumsum(distinct) - 1
+    cells = np.ascontiguousarray(ranked[:, distinct].T).view(f"S{8 * len(ranked)}")
+    try:
+        values = np.array([float(text) for text in cells[:, 0].tolist()])
+    except ValueError:
+        return None
+    return values[index][np.cumsum(run) - 1] if np.isfinite(values).all() else None
+
+
+def _parse_bytes(text: str, first: int, entries: _Words, row: _Row) -> np.ndarray | None:
     """The volumes of a block of lines ``first``, ``first + 1``, ...
     after the header, parsed as one byte array, or None when a line of
     the block breaks the grammar of `trace_read_csv`.
 
-    Each field, up to `_FIELD_BYTES` long, is deduplicated by its bytes,
-    so each distinct text gets one step lookup, one ``col_of`` lookup or
-    one ``float``; each line's step and column are then compared with
-    the ones its position gives.
+    A line's position gives its step and entry: the line must start with
+    the words of that step and a comma, then those of that entry and a
+    comma from ``entries``, `_words` of each entry id and a comma, then
+    a nonempty volume.  A volume with a comma is no ``float()`` text.
+    ``row`` is the row before the block: each column's volume text in
+    `_FIELD_BYTES` // 8 rows of words, and its value.  A volume text
+    equal to its column's text one row earlier takes that value; only
+    the texts that change go to `_floats`.  A block that is read leaves
+    ``row`` as its own last row.
     """
     if not text.endswith("\n") or not text.isascii():
         return None
     raw = text.encode("ascii")
     if raw.translate(None, _CSV_BYTES):
         return None
-    pad = _FIELD_BYTES  # zeros on each side, so every field window fits
-    buf = np.zeros(len(raw) + 2 * pad, np.uint8)
-    buf[pad:-pad] = np.frombuffer(raw, np.uint8)
+    buf = np.frombuffer(raw + bytes(_FIELD_BYTES), np.uint8)  # zeros, so every word fits
+    words64 = np.ndarray(buf.size - 7, "<u8", buf, strides=(1,))  # first byte lowest
     ends = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))
-    if commas.size != 2 * ends.size:
+    n, cols = ends.size, entries[1].size
+    step_at, col_at = np.divmod(np.arange(first, first + n), cols)
+    steps = _words([b"%d," % s for s in range(step_at[0], step_at[-1] + 1)])
+    lo = np.concatenate(([0], ends[:-1] + 1))  # each line's start, entry, then volume
+    for (words, widths), at in ((steps, step_at - step_at[0]), (entries, col_at)):
+        width = widths.take(at)
+        if (_field(words64, lo, width, len(words)) != words.take(at, 1)).any():
+            return None
+        lo = lo + width
+    width = ends - lo
+    if width.min() < 1 or width.max() > _FIELD_BYTES:
         return None
-    starts = np.concatenate(([pad], ends[:-1] + 1))
-    one, two = commas[0::2], commas[1::2]
-    # with two commas a line on average, this puts two in every line,
-    # between three nonempty fields; a blank line fails it
-    if not ((starts < one) & (one + 1 < two) & (two + 1 < ends)).all():
+    words = _field(words64, lo, width, -(-int(width.max()) // 8))
+    row_words, row_values = row
+    # a text of the row before with more words than this block's differs
+    before = row_words.take(col_at[:cols], 1)
+    new = np.flatnonzero(np.concatenate((
+        (words[:, :cols] != before[: len(words)]).any(0) | before[len(words) :].any(0),
+        (words[:, cols:] != words[:, :-cols]).any(0),
+    )))
+    values = _floats(words.take(new, 1))
+    if values is None:
         return None
-    windows = as_strided(buf, (buf.size - pad, pad), (1, 1), writeable=False)
-    step = _distinct(windows, starts, one)
-    entry = _distinct(windows, one + 1, two)
-    volume = _distinct(windows, two + 1, ends)
-    if step is None or entry is None or volume is None:
-        return None
-    step_at, col_at = np.divmod(np.arange(first, first + ends.size), len(col_of))
-    step_of = {b"%d" % s: s for s in range(step_at[0], step_at[-1] + 1)}
-    steps = np.array([step_of.get(field, -1) for field in step[0]])
-    cols = np.array([col_of.get(ident, -1) for ident in entry[0]])
-    if (steps[step[1]] != step_at).any() or (cols[entry[1]] != col_at).any():
-        return None
-    try:
-        values = np.array(list(map(float, volume[0])))
-    except ValueError:
-        return None
-    return values[volume[1]] if np.isfinite(values).all() else None
+    # a grid of the row before and the block's rows: a line whose text is
+    # unchanged takes the value of the last changed cell above it
+    cell = np.arange(n) + cols + first % cols
+    source = np.full((cell[-1] // cols + 1) * cols, -1)
+    source[:cols] = np.arange(cols)
+    source[cell[new]] = cell[new]
+    source = np.maximum.accumulate(source.reshape(-1, cols)).ravel()
+    grid = np.empty(source.size)
+    grid[:cols] = row_values
+    grid[cell[new]] = values
+    block = grid[source[cell]]
+    last = slice(max(n - cols, 0), n)
+    row_words[:, col_at[last]] = 0
+    row_words[: len(words), col_at[last]] = words[:, last]
+    row_values[col_at[last]] = block[last]
+    return block
 
 
-def _distinct(
-    windows: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[list[bytes], np.ndarray] | None:
-    """The distinct fields among ``[lo, hi)`` of a block and the index of
-    each field in that list, or None for a field past `_FIELD_BYTES`
-    bytes; ``windows[i]`` holds the block's bytes from ``i`` on.
-
-    Each field is zero-padded to whole 8-byte words; a field holds no
-    zero byte, so two fields are equal exactly when all their words are.
-    The rows of words are sorted and compared with their neighbours, so
-    no hash stands in for the bytes.
-    """
-    width = hi - lo
-    w = -(-int(width.max()) // 8) * 8
-    if w > _FIELD_BYTES:
-        return None
-    cells = windows[lo, :w]
-    words = cells.view("<u8")  # little-endian: a word's first byte is its lowest
-    words &= _LOW_BYTES[np.clip(width[:, None] - np.arange(0, w, 8), 0, 8)]
-    order = np.lexsort(words.T)
-    ranked = words[order]
-    new = np.ones(order.size, bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    index = np.empty_like(order)
-    index[order] = np.cumsum(new) - 1
-    return cells[order[new]].view(f"S{w}")[:, 0].tolist(), index
-
-
-def _bad_line(text: str, first: int, col_of: dict[bytes, int]) -> str:
+def _bad_line(text: str, first: int, entries: _Words, row: _Row) -> str:
     """The refusal naming the first bad line of a block that
-    `_parse_bytes` refuses: the last of the fewest leading lines of the
-    block that it refuses, found by bisection."""
+    `_parse_bytes` refuses after ``row``: the last of the fewest leading
+    lines of the block that it refuses, each try from a copy of ``row``,
+    found by bisection.  A line past `_QUOTE_CHARS` characters is quoted
+    up to them, with its length."""
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the empty text after a final "\n"
     ends = list(accumulate(len(line) + 1 for line in lines))
     bad = bisect_left(
         range(len(lines)), True,
-        key=lambda i: _parse_bytes(text[: ends[i]], first, col_of) is None,
+        key=lambda i: _parse_bytes(text[: ends[i]], first, entries, tuple(map(np.copy, row)))
+        is None,
     )
+    quote = repr(lines[bad][:_QUOTE_CHARS])
+    if len(lines[bad]) > _QUOTE_CHARS:
+        quote += f"... ({len(lines[bad])} characters)"
     # the header is line 1
-    return f"line {first + bad + 2}: bad record {lines[bad]!r}"
+    return f"line {first + bad + 2}: bad record {quote}"
 
 
 def trace_read_csv(
@@ -954,11 +1006,20 @@ def trace_read_csv(
 
     The text is read and parsed a block of whole lines at a time by
     `_parse_bytes`, the one statement of the line grammar; a block it
-    refuses is bisected with it for the first bad line.  Besides the
-    volumes read, only one block is held.  The trace is built by
+    refuses is bisected with it for the first bad line, quoted up to
+    `_QUOTE_CHARS` characters.  A line's step and entry are checked
+    against the ones its position gives.  A volume text equal to its
+    column's text one row before takes that row's value, and only the
+    texts that differ are deduplicated and parsed; the same text always
+    gives the same float, so the table is the one a parse of every line
+    gives.  Besides the volumes read, one block and one row of volume
+    texts are held.  A path is opened with no newline translation, so it
+    reads as a stream of its text does.  The trace is built by
     ``SweepoutTrace(graph=, steps=, step_bound=)``.
     """
-    col_of = {ident.encode(): i for i, ident in enumerate(graph.entry_ids())}
+    entries = _words([f"{ident},".encode() for ident in graph.entry_ids()])
+    cols = entries[1].size
+    row = (np.zeros((_FIELD_BYTES // 8, cols), np.uint64), np.zeros(cols))  # no text yet
     values: list[np.ndarray] = []
     lines = 0  # lines after the header before the current block
     with _opened(source, "r") as fh:
@@ -967,12 +1028,12 @@ def trace_read_csv(
         for text in _csv_blocks(fh):
             if not text:
                 continue
-            block = _parse_bytes(text, lines, col_of)
+            block = _parse_bytes(text, lines, entries, row)
             if block is None:
-                raise TraceError(_bad_line(text, lines, col_of))
+                raise TraceError(_bad_line(text, lines, entries, row))
             values.append(block)
             lines += block.size
-    if lines % len(col_of):
+    if lines % cols:
         raise TraceError("missing entries: trace table is not dense")
-    steps = np.concatenate([np.empty(0), *values]).reshape(-1, len(col_of))
+    steps = np.concatenate([np.empty(0), *values]).reshape(-1, cols)
     return SweepoutTrace(graph=graph, steps=steps, step_bound=step_bound)

@@ -521,7 +521,9 @@ def read_csv_whole(text: str, node_count: int) -> np.ndarray:
             ):
                 raise ValueError(line)
         except ValueError:
-            raise ValueError(f"line {k + 2}: bad record {line!r}") from None
+            # a line past 80 characters is quoted up to them, with its length
+            quote = repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"
+            raise ValueError(f"line {k + 2}: bad record {quote}") from None
         values.append(float(volume))
     if len(values) % len(ids):
         raise ValueError("missing entries: trace table is not dense")
